@@ -163,7 +163,10 @@ proptest! {
             }
         });
         let mut by_admission = results.into_inner().unwrap();
-        by_admission.sort_by_key(|&(start_row, _, _, _)| start_row);
+        // An empty batch admitted at row r reports r, and so does the
+        // batch admitted right after it: among equal start rows the empty
+        // batches came first.
+        by_admission.sort_by_key(|&(start_row, _, len, _)| (start_row, len > 0));
         // Admitted spans tile the stream: start rows are the running sum
         // of admitted lengths, and the lifetime counter reconciles.
         let mut expect_row = 0u64;
@@ -211,7 +214,7 @@ fn edge_chunk_sizes_commit_identically_under_concurrency() {
             }
         });
         let mut by_admission = results.into_inner().unwrap();
-        by_admission.sort_by_key(|&(start_row, _, _, _)| start_row);
+        by_admission.sort_by_key(|&(start_row, _, len, _)| (start_row, len > 0));
         assert_eq!(entry.status().rows_ingested, total as u64, "({window},{stride})");
         let admitted: Vec<(usize, usize)> =
             by_admission.iter().map(|&(_, start, len, _)| (start, len)).collect();

@@ -72,7 +72,7 @@
 
 use crate::fleet::{FleetState, Role};
 use crate::http::{Request, Response};
-use crate::json::{self, frame_from_columns, num_array, obj, string};
+use crate::json::{self, num_array, obj, string};
 use crate::metrics::{Endpoint, Metrics};
 use crate::registry::{ProfileEntry, ProfileRegistry, Snapshot};
 use crate::selfwatch::{SelfWatchConfig, SelfWatchState, SELF_FEATURES, SELF_MONITOR};
@@ -1181,7 +1181,8 @@ fn self_report(req: &Request, ctx: &RouteCtx<'_>) -> Response {
 }
 
 /// A parsed batch request: the resolved profile entry, the batch frame,
-/// and the raw body value (for handler-specific fields).
+/// and the body's handler fields (every top-level member but
+/// `"columns"`).
 struct Batch {
     entry: Arc<ProfileEntry>,
     frame: DataFrame,
@@ -1194,7 +1195,9 @@ struct Batch {
 /// deserializes straight into the SoA `DataFrame` layout the compiled
 /// plans gather from — zero float parsing, zero per-row allocation —
 /// and returns an empty JSON body (handler fields ride the query
-/// string). Anything else takes the JSON `"columns"` path.
+/// string). Anything else is JSON, scanned by [`json::decode_batch`]
+/// straight into the frame, with the other top-level members as the
+/// handler fields.
 fn batch_payload(req: &Request, metrics: &Metrics) -> Result<(DataFrame, Value), Response> {
     if req.body_is_columnar() {
         metrics.record_wire(true);
@@ -1205,13 +1208,7 @@ fn batch_payload(req: &Request, metrics: &Metrics) -> Result<(DataFrame, Value),
     metrics.record_wire(false);
     let text =
         std::str::from_utf8(&req.body).map_err(|_| Response::error(400, "body is not UTF-8"))?;
-    let body: Value = serde_json::from_str(text)
-        .map_err(|e| Response::error(400, &format!("body is not valid JSON: {e}")))?;
-    let Some(columns) = json::get(&body, "columns") else {
-        return Err(Response::error(400, "body needs a 'columns' object"));
-    };
-    let frame = frame_from_columns(columns).map_err(|e| Response::error(400, &e))?;
-    Ok((frame, body))
+    json::decode_batch(text).map_err(|e| Response::error(400, &e))
 }
 
 /// Shared plumbing for the three batch endpoints: decode the body (JSON

@@ -4,7 +4,7 @@
 //! SoA layout, and cheap to build from any dataframe-shaped client:
 //!
 //! ```json
-//! {"columns": {"x": [1.5, 2.5], "regime": ["a", "b"]}}
+//! {"columns": {"x": [1.5, 2.5], "regime": ["a", "b"]}, "threshold": 0.1}
 //! ```
 //!
 //! An all-number array (JSON `null` ⇒ NaN, like the CSV reader's missing
@@ -12,9 +12,21 @@
 //! categorical column. The vendored `serde_json` shim serializes `f64`
 //! through shortest-round-trip formatting, so numeric payloads survive
 //! HTTP bit-exactly — the property the loopback equivalence test pins.
+//!
+//! Two decoders read a batch body. [`decode_batch`] is the server's: it
+//! scans the `"columns"` object straight into the frame's `Vec<f64>` and
+//! dictionary-coded columns, with no [`Value`] tree in between.
+//! [`decode_batch_reference`] parses the whole body into a tree and
+//! builds the frame with [`frame_from_columns`]; it is the reference the
+//! scanner is pinned to (same accept/reject decisions, bit-identical
+//! frames, same handler fields — `tests/json_scan.rs`), and it writes
+//! every 400 message, so the scanner carries no error text of its own.
+//! Both run on the shim's one [`Lexer`], so strings, escapes and numbers
+//! (`str::parse::<f64>` over the same byte run) are read by the same code.
 
-use cc_frame::DataFrame;
-use serde_json::Value;
+use cc_frame::{Column, DataFrame};
+use serde_json::{Lexer, Value};
+use std::borrow::Cow;
 
 /// Field lookup that treats non-objects and missing keys as `None`.
 pub fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
@@ -141,6 +153,141 @@ pub fn frame_from_columns(columns: &Value) -> Result<DataFrame, String> {
         }
     }
     Ok(df)
+}
+
+/// Decodes a JSON batch body into its frame and its handler fields: the
+/// top-level members other than `"columns"`, in body order (so
+/// [`get`] finds the first occurrence of a repeated key).
+///
+/// # Errors
+/// The 400 message [`decode_batch_reference`] gives for the body.
+pub fn decode_batch(text: &str) -> Result<(DataFrame, Value), String> {
+    match scan_batch(text) {
+        Some(batch) => Ok(batch),
+        // The reference decides (and words) every rejection.
+        None => decode_batch_reference(text),
+    }
+}
+
+/// The reference batch decoder: the whole body as a [`Value`] tree, then
+/// [`frame_from_columns`] on its first `"columns"` member.
+///
+/// # Errors
+/// A request-shaped message (for a `400`) when the body is not JSON, has
+/// no `"columns"`, or its columns do not make a frame.
+pub fn decode_batch_reference(text: &str) -> Result<(DataFrame, Value), String> {
+    let body: Value =
+        serde_json::from_str(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
+    let Some(columns) = get(&body, "columns") else {
+        return Err("body needs a 'columns' object".to_owned());
+    };
+    let frame = frame_from_columns(columns)?;
+    let Value::Object(mut fields) = body else { unreachable!("get found a member") };
+    fields.retain(|(k, _)| k != "columns");
+    Ok((frame, Value::Object(fields)))
+}
+
+/// The scanning batch decoder behind [`decode_batch`]: one pass over the
+/// body, filling the frame's columns from the first `"columns"` member
+/// and parsing every other member into the fields object. `None` exactly
+/// when [`decode_batch_reference`] rejects the body.
+pub fn scan_batch(text: &str) -> Option<(DataFrame, Value)> {
+    let mut lx = Lexer::new(text);
+    lx.expect(b'{').ok()?;
+    let mut frame = None;
+    let mut fields = Vec::new();
+    loop {
+        let key = lx.parse_str().ok()?;
+        lx.expect(b':').ok()?;
+        if key != "columns" {
+            fields.push((key.into_owned(), lx.parse_value().ok()?));
+        } else if frame.is_none() {
+            frame = Some(scan_columns(&mut lx)?);
+        } else {
+            // A repeated "columns" only has to be JSON, as in the tree.
+            lx.parse_value().ok()?;
+        }
+        if !lx.more(b'}').ok()? {
+            break;
+        }
+    }
+    lx.finish().ok()?;
+    Some((frame?, Value::Object(fields)))
+}
+
+/// Scans a `"columns"` object into a frame.
+fn scan_columns(lx: &mut Lexer<'_>) -> Option<DataFrame> {
+    lx.expect(b'{').ok()?;
+    let mut df = DataFrame::new();
+    if lx.eat(b'}') {
+        return Some(df);
+    }
+    loop {
+        let name = lx.parse_str().ok()?;
+        lx.expect(b':').ok()?;
+        let col = scan_column(lx, df.n_rows())?;
+        df.push_column(name.into_owned(), col).ok()?;
+        if !lx.more(b'}').ok()? {
+            return Some(df);
+        }
+    }
+}
+
+/// Scans one column array. Its kind is that of its first non-null item,
+/// as in [`frame_from_columns`]; `rows` sizes the buffers.
+fn scan_column(lx: &mut Lexer<'_>, rows: usize) -> Option<Column> {
+    lx.expect(b'[').ok()?;
+    // Nulls before the first non-null item, which decides the kind.
+    let mut nulls = 0;
+    let mut col = None;
+    if lx.eat(b']') {
+        return Some(Column::Numeric(Vec::new()));
+    }
+    loop {
+        match (lx.peek()?, &mut col) {
+            (b'n', cells) => {
+                if !lx.eat_keyword("null") {
+                    return None;
+                }
+                match cells {
+                    None => nulls += 1,
+                    Some(Cells::Numbers(xs)) => xs.push(f64::NAN),
+                    Some(Cells::Labels(_)) => return None,
+                }
+            }
+            // A string column admits no nulls at all.
+            (b'"', None) if nulls == 0 => {
+                let mut labels = Vec::with_capacity(rows);
+                labels.push(lx.parse_str().ok()?);
+                col = Some(Cells::Labels(labels));
+            }
+            (b'"', Some(Cells::Labels(labels))) => labels.push(lx.parse_str().ok()?),
+            (b'"', _) => return None,
+            (_, None) => {
+                let mut xs = Vec::with_capacity(rows.max(nulls + 1));
+                xs.resize(nulls, f64::NAN);
+                xs.push(lx.parse_f64().ok()?);
+                col = Some(Cells::Numbers(xs));
+            }
+            (_, Some(Cells::Numbers(xs))) => xs.push(lx.parse_f64().ok()?),
+            (_, Some(Cells::Labels(_))) => return None,
+        }
+        if !lx.more(b']').ok()? {
+            break;
+        }
+    }
+    Some(match col {
+        None => Column::Numeric(vec![f64::NAN; nulls]),
+        Some(Cells::Numbers(xs)) => Column::Numeric(xs),
+        // Labels without escapes borrow from the body until coded here.
+        Some(Cells::Labels(labels)) => Column::categorical_from_labels(&labels),
+    })
+}
+
+/// A column's cells once its kind is known.
+enum Cells<'a> {
+    Numbers(Vec<f64>),
+    Labels(Vec<Cow<'a, str>>),
 }
 
 #[cfg(test)]
