@@ -142,13 +142,24 @@ pub struct RequestParser {
     /// How far the header-terminator scan has progressed, so repeated
     /// partial feeds never rescan the whole buffer.
     scanned: usize,
+    /// The current request once its head is parsed, kept while its body
+    /// arrives so a trickled body never re-parses the head.
+    framed: Option<Framed>,
     max_body: usize,
+}
+
+/// A request whose head is parsed: everything but the body, and where in
+/// the buffer the body lies.
+struct Framed {
+    request: Request,
+    body_start: usize,
+    total: usize,
 }
 
 impl RequestParser {
     /// A parser enforcing `max_body` on declared `Content-Length`s.
     pub fn new(max_body: usize) -> Self {
-        RequestParser { buf: Vec::new(), scanned: 0, max_body }
+        RequestParser { buf: Vec::new(), scanned: 0, framed: None, max_body }
     }
 
     /// Appends newly read bytes.
@@ -169,6 +180,29 @@ impl RequestParser {
     /// # Errors
     /// Any [`ParseError`] is terminal: answer it and close.
     pub fn try_next(&mut self) -> Result<Option<Request>, ParseError> {
+        let framed = match &mut self.framed {
+            Some(framed) => framed,
+            None => {
+                let Some(framed) = self.frame_head()? else { return Ok(None) };
+                // Room for the whole request up front: the body's
+                // segments then append without reallocating.
+                self.buf.reserve(framed.total.saturating_sub(self.buf.len()));
+                self.framed.insert(framed)
+            }
+        };
+        if self.buf.len() < framed.total {
+            return Ok(None); // Body still in flight.
+        }
+        let Framed { mut request, body_start, total } = self.framed.take().expect("framed above");
+        request.body = self.buf[body_start..total].to_vec();
+        self.buf.drain(..total);
+        self.scanned = 0;
+        Ok(Some(request))
+    }
+
+    /// Parses the head at the start of the buffer once its terminator has
+    /// arrived.
+    fn frame_head(&mut self) -> Result<Option<Framed>, ParseError> {
         let Some(header_end) = self.find_header_end() else {
             if self.buf.len() > MAX_HEADER_BYTES {
                 return Err(ParseError::HeadersTooLarge);
@@ -204,15 +238,10 @@ impl RequestParser {
         if content_length > self.max_body {
             return Err(ParseError::BodyTooLarge);
         }
-        let total = header_end + 4 + content_length;
-        if self.buf.len() < total {
-            return Ok(None); // Body still in flight.
-        }
         let close = connection_close(&headers, version);
-        let body = self.buf[header_end + 4..total].to_vec();
-        self.buf.drain(..total);
-        self.scanned = 0;
-        Ok(Some(Request { method, path, query, headers, body, close }))
+        let request = Request { method, path, query, headers, body: Vec::new(), close };
+        let body_start = header_end + 4;
+        Ok(Some(Framed { request, body_start, total: body_start + content_length }))
     }
 
     /// Position of the `\r\n\r\n` header terminator, resuming from the
@@ -552,6 +581,25 @@ mod tests {
         let rs = parse_all(b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\nab")
             .unwrap();
         assert_eq!(rs[0].body, b"ab");
+    }
+
+    #[test]
+    fn trickled_pipelined_requests_match_one_feed() {
+        let input: &[u8] =
+            b"POST /v2/check?top=2 HTTP/1.1\r\ncontent-length: 11\r\n\r\n{\"a\": [1]}\n\
+            GET /healthz HTTP/1.0\r\nconnection: keep-alive\r\n\r\n";
+        let whole = parse_all(input).unwrap();
+        assert_eq!(whole.len(), 2);
+        let mut p = RequestParser::new(DEFAULT_MAX_BODY_BYTES);
+        let mut trickled = Vec::new();
+        for &b in input {
+            p.feed(&[b]);
+            while let Some(r) = p.try_next().unwrap() {
+                trickled.push(r);
+            }
+        }
+        assert_eq!(trickled, whole);
+        assert!(p.is_empty());
     }
 
     #[test]

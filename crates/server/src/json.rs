@@ -22,7 +22,11 @@
 //! frames, same handler fields — `tests/json_scan.rs`), and it writes
 //! every 400 message, so the scanner carries no error text of its own.
 //! Both run on the shim's one [`Lexer`], so strings, escapes and numbers
-//! (`str::parse::<f64>` over the same byte run) are read by the same code.
+//! are read by the same code. [`Lexer::parse_f64`] reads a plain number
+//! of at most 19 digits with a decimal exponent in −27..=55 in one pass
+//! (SWAR digits, Eisel–Lemire) and hands any other run of number bytes
+//! to `str::parse::<f64>`; the shim's differential tests pin the two to
+//! the same value bits, accept/reject decisions and end offsets.
 
 use cc_frame::{Column, DataFrame};
 use serde_json::{Lexer, Value};

@@ -30,9 +30,28 @@ const LABELS: [(&str, &str); 9] = [
 ];
 
 /// Number spellings: shortest round-trip output, exponent forms, the
-/// shim's lenient leading `+` and bare-dot forms, and negative zero.
-const NUMBERS: [&str; 10] =
-    ["0", "-0", "1.5", "-3.25e-3", "6.02214076E23", "+7", ".5", "5.", "1e308", "123456789"];
+/// shim's lenient leading `+` and bare-dot forms, negative zero, and both
+/// sides of the number reader's fast window (decimal exponent −27..=55,
+/// at most 19 digits).
+const NUMBERS: [&str; 17] = [
+    "0",
+    "-0",
+    "1.5",
+    "-3.25e-3",
+    "6.02214076E23",
+    "+7",
+    ".5",
+    "5.",
+    "1e308",
+    "123456789",
+    "1e-27",
+    "1e-28",
+    "1e55",
+    "1e56",
+    "-9999999999999999999",
+    "12345678901234567890",
+    "0.000123456789012345678",
+];
 
 const WHITESPACE: [&str; 5] = ["", "", " ", "\n  ", "\t\r\n"];
 
