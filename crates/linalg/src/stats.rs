@@ -137,6 +137,17 @@ impl SufficientStats {
     /// Absorbs a row-major flat slice tuple by tuple, in slice order
     /// (see [`SufficientStats::from_flat_rows`]).
     ///
+    /// Bit-identical to calling [`SufficientStats::update`] on each tuple.
+    /// For `dim` in 1..=16 the slice runs through a fixed-width kernel
+    /// that keeps the accumulator in fixed-size locals for the whole
+    /// slice and performs exactly `update`'s operations per tuple, in the
+    /// same order (no fused multiply-add, no reassociation). Wider tuples
+    /// take the per-tuple `update` loop. A seeded differential test
+    /// (`tests/flat_rows_kernel.rs`) pins the kernel to `update` bit for
+    /// bit, `±∞`, `±0` and subnormals included; a NaN result only has to
+    /// be a NaN, since Rust leaves the sign and payload of arithmetic
+    /// NaNs unspecified.
+    ///
     /// # Panics
     /// Panics when `dim` is zero or does not divide `data.len()`.
     pub fn update_flat_rows(&mut self, data: &[f64]) {
@@ -147,9 +158,77 @@ impl SufficientStats {
             data.len(),
             self.dim
         );
-        for tuple in data.chunks_exact(self.dim) {
-            self.update(tuple);
+        match self.dim {
+            1 => self.update_fixed::<1, 1>(data),
+            2 => self.update_fixed::<2, 3>(data),
+            3 => self.update_fixed::<3, 6>(data),
+            4 => self.update_fixed::<4, 10>(data),
+            5 => self.update_fixed::<5, 15>(data),
+            6 => self.update_fixed::<6, 21>(data),
+            7 => self.update_fixed::<7, 28>(data),
+            8 => self.update_fixed::<8, 36>(data),
+            9 => self.update_fixed::<9, 45>(data),
+            10 => self.update_fixed::<10, 55>(data),
+            11 => self.update_fixed::<11, 66>(data),
+            12 => self.update_fixed::<12, 78>(data),
+            13 => self.update_fixed::<13, 91>(data),
+            14 => self.update_fixed::<14, 105>(data),
+            15 => self.update_fixed::<15, 120>(data),
+            16 => self.update_fixed::<16, 136>(data),
+            _ => {
+                for tuple in data.chunks_exact(self.dim) {
+                    self.update(tuple);
+                }
+            }
         }
+    }
+
+    /// The fixed-width body of [`Self::update_flat_rows`]: `D` attributes,
+    /// `P = D(D+1)/2` packed co-moment entries. Each tuple goes through
+    /// [`Self::update`]'s operations verbatim; only the storage differs
+    /// (stack arrays of known length instead of heap vectors, written
+    /// back once at the end).
+    fn update_fixed<const D: usize, const P: usize>(&mut self, data: &[f64]) {
+        debug_assert_eq!((self.dim, P), (D, packed_len(D)));
+        if data.is_empty() {
+            return;
+        }
+        let mut mean: [f64; D] = self.mean[..].try_into().expect("mean has dim entries");
+        let mut comoment: [f64; P] = self.comoment[..].try_into().expect("packed length");
+        let mut comp: [f64; P] = self.comp[..].try_into().expect("packed length");
+        let mut min: [f64; D] = self.min[..].try_into().expect("min has dim entries");
+        let mut max: [f64; D] = self.max[..].try_into().expect("max has dim entries");
+        let mut count = self.count;
+        for tuple in data.chunks_exact(D) {
+            let t: &[f64; D] = tuple.try_into().expect("chunks_exact yields D values");
+            count += 1;
+            let n = count as f64;
+            for (mu, x) in mean.iter_mut().zip(t) {
+                *mu += (x - *mu) / n;
+            }
+            if count > 1 {
+                let blowup = n / (n - 1.0);
+                let mut idx = 0;
+                for a in 0..D {
+                    let da = (t[a] - mean[a]) * blowup;
+                    for (x, mu) in t[a..].iter().zip(&mean[a..]) {
+                        let d2b = x - mu;
+                        kahan_add(&mut comoment[idx], &mut comp[idx], da * d2b);
+                        idx += 1;
+                    }
+                }
+            }
+            for ((lo, hi), x) in min.iter_mut().zip(max.iter_mut()).zip(t) {
+                *lo = lo.min(*x);
+                *hi = hi.max(*x);
+            }
+        }
+        self.count = count;
+        self.mean.copy_from_slice(&mean);
+        self.comoment.copy_from_slice(&comoment);
+        self.comp.copy_from_slice(&comp);
+        self.min.copy_from_slice(&min);
+        self.max.copy_from_slice(&max);
     }
 
     /// Number of accumulated tuples.

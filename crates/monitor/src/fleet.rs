@@ -223,6 +223,7 @@ impl MergedMonitor {
             )));
         }
         let window = self.monitor.config().spec.window();
+        let dim = self.monitor.plan().attributes().len();
         for d in deltas {
             if d.epoch < self.received[s] {
                 continue; // replay of an epoch already received
@@ -244,6 +245,13 @@ impl MergedMonitor {
                 return Err(MonitorError::Config(format!(
                     "shard {s} epoch {} starts at row {} — not tumbling-aligned",
                     d.epoch, d.start_row
+                )));
+            }
+            if d.stats.dim() != dim {
+                return Err(MonitorError::Config(format!(
+                    "shard {s} epoch {} carries {}-attribute stats, the profile has {dim}",
+                    d.epoch,
+                    d.stats.dim()
                 )));
             }
             if d.stats.count() != d.rows {
@@ -401,6 +409,35 @@ mod tests {
         let mut gapped = deltas[2].clone();
         gapped.epoch = 5;
         assert!(merged.offer(0, std::slice::from_ref(&gapped)).is_err());
+    }
+
+    #[test]
+    fn wrong_arity_delta_is_rejected_without_wedging() {
+        let window = 20;
+        let profile = synthesize(&line_frame(2.0, 1.0, 200, 0), &SynthOptions::default()).unwrap();
+        let mut shard = OnlineMonitor::new(profile.clone(), cfg(window)).unwrap();
+        shard.set_export_cap(16);
+        for g in 0..2 {
+            shard.ingest(&line_frame(2.0, 1.0, window, g * window)).unwrap();
+        }
+        let good = shard.deltas_since(0).unwrap();
+        let mut wrong = good[0].clone();
+        wrong.stats = SufficientStats::from_flat_rows(&vec![1.0; 3 * window], 3);
+
+        let mut merged = MergedMonitor::new(profile.clone(), cfg(window), 1).unwrap();
+        let err = merged.offer(0, std::slice::from_ref(&wrong)).unwrap_err();
+        assert!(err.to_string().contains("3-attribute stats"), "{err}");
+        assert_eq!((merged.cursor(0), merged.buffered(0)), (0, 0), "nothing was received");
+        // The correct re-push of the same epoch is absorbed, not skipped
+        // as a replay, and the stream carries on.
+        assert_eq!(merged.offer(0, &good).unwrap().len(), 2);
+        let mut single = OnlineMonitor::new(profile, cfg(window)).unwrap();
+        for g in 0..2 {
+            single.ingest(&line_frame(2.0, 1.0, window, g * window)).unwrap();
+        }
+        let a = serde_json::to_string(&single.state()).unwrap();
+        let b = serde_json::to_string(&merged.monitor().state()).unwrap();
+        assert_eq!(a, b, "recovered coordinator diverged from the single-node monitor");
     }
 
     #[test]

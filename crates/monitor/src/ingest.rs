@@ -30,10 +30,16 @@
 //! **Commit** ([`OnlineMonitor::commit`](crate::OnlineMonitor::commit))
 //! takes the lock only to splice the delta into the open windows —
 //! partial head/tail rows replay per-tuple, fully-covered windows merge
-//! wholesale — and to run the per-close bookkeeping. Deltas must commit
-//! in admission order (their start rows tile the stream); the registry's
-//! [`MonitorEntry`](crate::MonitorEntry) enforces that with a ticket
-//! sequence. Concurrent sharded ingest is proptest-pinned bit-identical
+//! wholesale — and to run the per-close bookkeeping. Every replay, like
+//! the precomputed windows of `seal`, runs through the fixed-width
+//! Welford kernel behind [`SufficientStats::update_flat_rows`], which a
+//! seeded differential test pins bit for bit to the per-tuple
+//! [`SufficientStats::update`] that
+//! [`SlidingStats::push`](crate::SlidingStats::push) and
+//! [`OnlineMonitor::ingest_rowwise`](crate::OnlineMonitor::ingest_rowwise)
+//! still use. Deltas must commit in admission order (their start rows
+//! tile the stream); the registry's [`MonitorEntry`](crate::MonitorEntry)
+//! enforces that with a ticket sequence. Concurrent sharded ingest is proptest-pinned bit-identical
 //! to serialized row-by-row ingest (`tests/pipeline.rs`).
 
 use crate::windows::{PrecomputedWindow, WindowSpec};

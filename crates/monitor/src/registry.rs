@@ -239,7 +239,17 @@ impl MonitorEntry {
         );
         // Phase two — still lock-free; slow sealers only delay tickets
         // behind them, never the scoring of other batches.
+        let seal_started = Instant::now();
+        let rows = scored.rows() as u64;
         let delta = scorer.seal(scored, start_row);
+        cc_trace::record(
+            cc_trace::Phase::Seal,
+            trace_id,
+            &self.name,
+            rows,
+            seal_started,
+            seal_started.elapsed(),
+        );
         let turn_started = Instant::now();
         {
             let mut g = self.gate.lock().unwrap_or_else(|p| p.into_inner());

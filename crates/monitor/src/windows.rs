@@ -123,6 +123,22 @@ struct OpenWindow {
     score_max: f64,
 }
 
+impl OpenWindow {
+    /// Absorbs a run of consecutive rows (row-major `tuples`, one score
+    /// per row): the statistics through the fixed-width
+    /// [`SufficientStats::update_flat_rows`] kernel, the scores as a
+    /// left fold in row order. Per accumulator this is exactly the
+    /// update sequence of [`SlidingStats::push`] over the same rows.
+    fn replay(&mut self, tuples: &[f64], scores: &[f64]) {
+        self.stats.update_flat_rows(tuples);
+        for &score in scores {
+            self.score_sum += score;
+            self.score_max = self.score_max.max(score);
+        }
+        self.rows += scores.len();
+    }
+}
+
 /// A window fully covered by one admitted batch, accumulated during the
 /// lock-free score phase of the ingest pipeline (see `crate::ingest`).
 ///
@@ -241,9 +257,12 @@ impl SlidingStats {
     /// [`Self::push`], by construction:
     ///
     /// * carried open windows and the batch's tail windows replay their
-    ///   covered rows per-tuple — each accumulator sees exactly the
-    ///   update sequence the serial path produces (interleaving across
-    ///   *distinct* accumulators never affects any one of them);
+    ///   covered rows per-tuple through the fixed-width
+    ///   [`SufficientStats::update_flat_rows`] kernel, which a seeded
+    ///   differential test pins to [`SufficientStats::update`] bit for
+    ///   bit — so each accumulator sees exactly the update sequence the
+    ///   serial path produces (interleaving across *distinct*
+    ///   accumulators never affects any one of them);
     /// * fully-covered windows are adopted wholesale from `precomputed`,
     ///   whose accumulators were built per-tuple from fresh state over
     ///   the same slice — the same bits again;
@@ -253,7 +272,8 @@ impl SlidingStats {
     ///   windows, and every carried start precedes every in-batch start.
     ///
     /// # Panics
-    /// Panics when the flat shapes disagree with `dim`, or when
+    /// Panics when the flat shapes disagree with `dim`, when `dim` is
+    /// zero (the flat layout cannot count zero-width rows), or when
     /// `precomputed` disagrees with the set of windows the geometry says
     /// this batch fully covers (a scorer/accumulator mismatch — the
     /// pipeline seals deltas against the admitted start row, so this
@@ -278,12 +298,7 @@ impl SlidingStats {
         // Carried open windows replay the head rows they cover.
         for w in self.open.iter_mut() {
             let take = ((w.start_row + window).min(end) - r0) as usize;
-            for (i, &score) in scores[..take].iter().enumerate() {
-                w.stats.update(&tuples[i * self.dim..(i + 1) * self.dim]);
-                w.score_sum += score;
-                w.score_max = w.score_max.max(score);
-                w.rows += 1;
-            }
+            w.replay(&tuples[..take * self.dim], &scores[..take]);
         }
         // Carried closes first: every carried start precedes every
         // in-batch start, and the deque is ordered by start already.
@@ -327,13 +342,7 @@ impl SlidingStats {
                     score_sum: 0.0,
                     score_max: 0.0,
                 };
-                for (i, &score) in scores[lo..].iter().enumerate() {
-                    let at = lo + i;
-                    w.stats.update(&tuples[at * self.dim..(at + 1) * self.dim]);
-                    w.score_sum += score;
-                    w.score_max = w.score_max.max(score);
-                    w.rows += 1;
-                }
+                w.replay(&tuples[lo * self.dim..], &scores[lo..]);
                 self.open.push_back(w);
             }
             s += stride;
@@ -669,6 +678,98 @@ mod tests {
                 let a = serde_json::to_string(&serial.state()).unwrap();
                 let b = serde_json::to_string(&batched.state()).unwrap();
                 assert_eq!(a, b, "open-window state diverged for ({window}, {stride})");
+            }
+        }
+    }
+
+    /// Bit patterns of every field of `s`, read through its lossless
+    /// serde image, with any NaN mapped to one pattern: Rust leaves the
+    /// payload of an arithmetic NaN unspecified, so the optimizer may
+    /// propagate a different input NaN on each path.
+    fn stats_bits(s: &SufficientStats) -> Vec<u64> {
+        let v = serde::Serialize::to_value(s);
+        let mut out = vec![s.count() as u64];
+        for field in ["mean", "comoment", "comp", "min", "max"] {
+            let xs = serde::lossless::vec_from_value(v.field(field).unwrap()).unwrap();
+            out.extend(xs.iter().map(|&x| nan_blind_bits(x)));
+        }
+        out
+    }
+
+    fn nan_blind_bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
+    /// Seeded apply_batch ≡ push over dims on both sides of the kernel's
+    /// width limit, tumbling and sliding geometries, batches shorter
+    /// than, equal to and longer than the window, and cells that include
+    /// ±∞, NaN, ±0 and subnormals.
+    #[test]
+    fn apply_batch_matches_push_across_dims_and_wild_values() {
+        let mut state = 0x5eed_0bad_cafe_f00du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let wild = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 5e-324, 1e300, -1e300];
+        for dim in [1, 3, 8, 16, 17] {
+            for (window, stride) in [(8, 8), (8, 4), (6, 2), (5, 1)] {
+                let spec = WindowSpec::new(window, stride).unwrap();
+                let rows = 60;
+                let mut cell = |_| match next() % 64 {
+                    0 => wild[(next() % wild.len() as u64) as usize],
+                    r => 500.0 + r as f64 * 0.173 - (next() % 1000) as f64 * 1e-3,
+                };
+                let flat: Vec<f64> = (0..rows * dim).map(&mut cell).collect();
+                let scores: Vec<f64> = (0..rows).map(|i| cell(i).abs() * 1e-3).collect();
+                // Batch lengths cycle through short, equal and long.
+                let lens = [1, window - 1, window, window + 1, 2 * window + 3, 0, 3];
+                let mut serial = SlidingStats::new(spec, dim);
+                let mut batched = SlidingStats::new(spec, dim);
+                let (mut serial_closes, mut batched_closes) = (Vec::new(), Vec::new());
+                let fold_bits = |sum: f64, max: f64| [sum, max].map(nan_blind_bits);
+                let (mut at, mut k) = (0, 0);
+                while at < rows {
+                    let hi = (at + lens[k % lens.len()]).min(rows);
+                    k += 1;
+                    let (tuples, sc) = (&flat[at * dim..hi * dim], &scores[at..hi]);
+                    let sealed = seal(spec, dim, at as u64, tuples, sc);
+                    batched_closes.extend(batched.apply_batch(tuples, sc, &sealed));
+                    for i in at..hi {
+                        serial_closes.extend(serial.push(&flat[i * dim..(i + 1) * dim], scores[i]));
+                    }
+                    at = hi;
+                    let ctx = format!("dim {dim}, ({window}, {stride}), after row {at}");
+                    assert_eq!(serial_closes.len(), batched_closes.len(), "{ctx}");
+                    for (a, b) in serial_closes.iter().zip(&batched_closes) {
+                        assert_eq!((a.index, a.start_row, a.rows), (b.index, b.start_row, b.rows));
+                        assert_eq!(stats_bits(&a.stats), stats_bits(&b.stats), "{ctx}");
+                        assert_eq!(
+                            fold_bits(a.score_sum, a.score_max),
+                            fold_bits(b.score_sum, b.score_max),
+                            "{ctx}"
+                        );
+                    }
+                    let (a, b) = (serial.state(), batched.state());
+                    assert_eq!((a.rows_seen, a.closed), (b.rows_seen, b.closed), "{ctx}");
+                    assert_eq!(a.open.len(), b.open.len(), "{ctx}");
+                    for (x, y) in a.open.iter().zip(&b.open) {
+                        assert_eq!((x.start_row, x.rows), (y.start_row, y.rows), "{ctx}");
+                        assert_eq!(stats_bits(&x.stats), stats_bits(&y.stats), "{ctx}");
+                        assert_eq!(
+                            fold_bits(x.score_sum, x.score_max),
+                            fold_bits(y.score_sum, y.score_max),
+                            "{ctx}"
+                        );
+                    }
+                }
             }
         }
     }

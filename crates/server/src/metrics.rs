@@ -617,7 +617,7 @@ mod tests {
                 "cc_server_phase_seconds_bucket{{phase=\"{phase}\",le=\"+Inf\"}}"
             )));
         }
-        for phase in ["score", "admission_wait", "turn_wait", "commit"] {
+        for phase in ["score", "admission_wait", "seal", "turn_wait", "commit"] {
             assert!(
                 text.contains(&format!("cc_monitor_phase_seconds_count{{phase=\"{phase}\"}}")),
                 "{text}"

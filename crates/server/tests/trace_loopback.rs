@@ -168,7 +168,7 @@ fn ingest_pipeline_spans_are_tagged_with_monitor_name() {
             seen.push(phase);
         }
     }
-    for phase in ["score", "admission_wait", "turn_wait", "commit", "window_close"] {
+    for phase in ["score", "admission_wait", "seal", "turn_wait", "commit", "window_close"] {
         assert!(seen.iter().any(|p| p == phase), "missing ingest phase {phase} in {seen:?}");
     }
     handle.shutdown();

@@ -49,6 +49,9 @@ pub enum Phase {
     // Ingest pipeline (two-phase commit inside `MonitorEntry::ingest`).
     Score,
     AdmissionWait,
+    /// `IngestScorer::seal`: precomputing the windows a batch fully
+    /// covers, after admission and before the commit turn.
+    Seal,
     TurnWait,
     Commit,
     /// Event: a monitor window closed (tag = monitor, extra = window index).
@@ -65,13 +68,14 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 14] = [
+    pub const ALL: [Phase; 15] = [
         Phase::Parse,
         Phase::QueueWait,
         Phase::Handle,
         Phase::Write,
         Phase::Score,
         Phase::AdmissionWait,
+        Phase::Seal,
         Phase::TurnWait,
         Phase::Commit,
         Phase::WindowClose,
@@ -85,9 +89,9 @@ impl Phase {
     /// The four server request-lifecycle phases, in pipeline order.
     pub const SERVER: [Phase; 4] = [Phase::Parse, Phase::QueueWait, Phase::Handle, Phase::Write];
 
-    /// The four ingest-pipeline phases, in pipeline order.
-    pub const MONITOR: [Phase; 4] =
-        [Phase::Score, Phase::AdmissionWait, Phase::TurnWait, Phase::Commit];
+    /// The five ingest-pipeline phases, in pipeline order.
+    pub const MONITOR: [Phase; 5] =
+        [Phase::Score, Phase::AdmissionWait, Phase::Seal, Phase::TurnWait, Phase::Commit];
 
     /// Stable lowercase label (used in `/v1/trace` and metric labels).
     pub fn name(self) -> &'static str {
@@ -98,6 +102,7 @@ impl Phase {
             Phase::Write => "write",
             Phase::Score => "score",
             Phase::AdmissionWait => "admission_wait",
+            Phase::Seal => "seal",
             Phase::TurnWait => "turn_wait",
             Phase::Commit => "commit",
             Phase::WindowClose => "window_close",
