@@ -2,12 +2,11 @@
 //! with concurrent keep-alive connections, on both wire encodings.
 //!
 //! ```text
-//! cargo run --release -p cc_bench --bin bench_serve [total_rows] [workers] [io]
+//! cargo run --release -p cc_bench --bin bench_serve [total_rows] [workers]
 //! ```
 //!
 //! Synthesizes a profile, writes it to a registry directory, starts the
-//! daemon in-process on an ephemeral port (connection core chosen by the
-//! `io` argument: `auto` | `epoll` | `threads`), then sweeps a
+//! daemon in-process on an ephemeral port, then sweeps a
 //! wire × connections grid — JSON and binary columnar bodies, each from
 //! 1, 2, and 4 concurrent keep-alive clients — pushing `total_rows`
 //! tuples through `POST /v1/check` per cell. The measured number is
@@ -30,7 +29,7 @@ use cc_bench::median;
 use cc_frame::DataFrame;
 use cc_server::obs::Level;
 use cc_server::wire::CONTENT_TYPE_COLUMNAR;
-use cc_server::{HttpClient, IoMode, ProfileRegistry, SelfWatchConfig, Server, ServerConfig};
+use cc_server::{HttpClient, ProfileRegistry, SelfWatchConfig, Server, ServerConfig};
 use conformance::{synthesize, CompiledProfile, SynthOptions};
 use serde_json::Value;
 use std::time::Instant;
@@ -123,8 +122,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let total_rows: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(400_000);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2);
-    let io = args.next().map(|s| IoMode::parse(&s).expect("io: auto|epoll|threads"));
-    let io = io.unwrap_or(IoMode::Auto);
 
     println!("profiling training frame…");
     let train = serve_frame(50_000, 0);
@@ -142,11 +139,10 @@ fn main() {
 
     let registry = ProfileRegistry::from_dir(&dir).expect("registry loads");
     let config =
-        ServerConfig { addr: "127.0.0.1:0".to_owned(), workers, io, ..ServerConfig::default() };
+        ServerConfig { addr: "127.0.0.1:0".to_owned(), workers, ..ServerConfig::default() };
     let handle = Server::start(config, registry).expect("server starts");
     let addr = handle.addr();
-    let backend = handle.io_backend();
-    println!("daemon on http://{addr} ({workers} workers, {backend} io)");
+    println!("daemon on http://{addr} ({workers} workers)");
 
     // Per-connection distinct batches (offset), serialized once up front
     // in both encodings so the timed loops measure the wire + server,
@@ -312,7 +308,6 @@ fn main() {
         start_with(ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers,
-            io,
             trace_buffer,
             ..ServerConfig::default()
         })
@@ -365,7 +360,6 @@ fn main() {
         start_with(ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers,
-            io,
             log_level: level,
             ..ServerConfig::default()
         })
@@ -406,7 +400,6 @@ fn main() {
     let selfwatched = start_with(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers,
-        io,
         self_watch: Some(SelfWatchConfig {
             interval: std::time::Duration::from_millis(25),
             warmup: 8,
@@ -461,7 +454,6 @@ fn main() {
         ("benchmark".into(), Value::String("serve_http_check".into())),
         ("batch_rows".into(), Value::Number(BATCH_ROWS as f64)),
         ("workers".into(), Value::Number(workers as f64)),
-        ("io".into(), Value::String(backend.into())),
         ("constraints".into(), Value::Number(plan.constraint_count() as f64)),
         ("warmup_rows".into(), Value::Number(warmup_rows as f64)),
         ("measured_rows".into(), Value::Number(measured_rows as f64)),

@@ -245,7 +245,7 @@ enum Sink {
 /// Leveled JSON-lines logger: in-memory ring plus an optional stream sink.
 ///
 /// All methods take `&self`; the logger is designed to sit in an `Arc`
-/// shared across acceptor, reactor, compute-pool, and sampler threads.
+/// shared across acceptor, worker, and sampler threads.
 pub struct Logger {
     level: AtomicU8,
     capacity: usize,

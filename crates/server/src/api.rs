@@ -50,8 +50,7 @@
 //! `__`-prefixed names are `400`, while reads of them stay allowed (the
 //! self-watch monitor is observable but not externally writable).
 //!
-//! Every non-2xx JSON response across both connection cores carries one
-//! structured error envelope:
+//! Every non-2xx JSON response carries one structured error envelope:
 //! `{"error": {"code": "<slug>", "message": "<text>"}}` (see
 //! [`Response::error`]).
 //!

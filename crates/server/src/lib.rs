@@ -7,15 +7,15 @@
 //! crate is that layer, **dependency-free**: the workspace is
 //! offline/vendored, so the HTTP/1.1 protocol ([`http`]), the worker
 //! pool ([`server`]), and the Prometheus exposition ([`metrics`]) are
-//! all built directly on `std::net` + `std::thread`.
+//! all built directly on `std::net` + `std::thread`, and the daemon runs
+//! on every platform `std` supports.
 //!
 //! ```text
 //!            ┌──────────────────────────────────────────────┐
-//!  TCP ──►   │ acceptor ─► reactors (epoll, edge-triggered  │
-//!            │   non-blocking state machines: RequestParser)│
-//!            │        ─► compute pool: route ─► Response    │
-//!            │   (or: acceptor ─► queue ─► blocking worker  │
-//!            │    pool — the portable `--io threads` core)  │
+//!  TCP ──►   │ acceptor ─► queue ─► worker pool: each worker│
+//!            │   reads (RequestParser) ─► route ─► Response │
+//!            │   on one connection, then requeues it while  │
+//!            │   others wait                                │
 //!            │                 │                            │
 //!            │                 ▼ pinned Arc<Snapshot>       │
 //!            │ ProfileRegistry: dir of profile JSON ─►      │
@@ -56,8 +56,6 @@ pub mod fleet;
 pub mod http;
 pub mod json;
 pub mod metrics;
-#[cfg(target_os = "linux")]
-pub mod reactor;
 pub mod registry;
 pub mod selfwatch;
 pub mod server;
@@ -72,6 +70,6 @@ pub use http::{ParseError, Request, RequestParser, Response, MAX_HEADER_BYTES};
 pub use metrics::{Endpoint, Metrics, MonitorSeries};
 pub use registry::{ProfileEntry, ProfileRegistry, Snapshot};
 pub use selfwatch::{SelfWatchConfig, SelfWatchState, SELF_FEATURES, SELF_MONITOR};
-pub use server::{IoMode, LogSink, Server, ServerConfig, ServerHandle};
+pub use server::{LogSink, Server, ServerConfig, ServerHandle};
 pub use state::{Durability, SaveReport, STATE_FILE};
 pub use wire::{WireError, CONTENT_TYPE_COLUMNAR};

@@ -145,19 +145,11 @@ pub struct Metrics {
     requests: [[AtomicU64; 3]; ENDPOINTS.len()],
     rows_checked: AtomicU64,
     connections_accepted: AtomicU64,
-    /// Which connection core is running: `0` threads, `1` epoll.
-    io_backend: AtomicU64,
     /// Batch-bearing requests by body encoding: `[json, columnar]`.
     wire_requests: [AtomicU64; 2],
-    /// `epoll_wait` returns (including timeout ticks) and the ready
-    /// events they carried — their ratio is the reactor saturation
-    /// gauge.
-    reactor_wakes: AtomicU64,
-    reactor_ready_events: AtomicU64,
-    /// Connections currently registered with a connection core.
+    /// Connections currently open (queued or held by a worker).
     open_connections: AtomicU64,
-    /// Jobs parked in the compute queue (epoll core) or connections
-    /// waiting for a worker (threads core).
+    /// Connections waiting in the queue for a worker.
     compute_queue_depth: AtomicU64,
     latency: Mutex<Latency>,
 }
@@ -176,10 +168,7 @@ impl Metrics {
             requests: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             rows_checked: AtomicU64::new(0),
             connections_accepted: AtomicU64::new(0),
-            io_backend: AtomicU64::new(0),
             wire_requests: [AtomicU64::new(0), AtomicU64::new(0)],
-            reactor_wakes: AtomicU64::new(0),
-            reactor_ready_events: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             compute_queue_depth: AtomicU64::new(0),
             latency: Mutex::new(Latency {
@@ -228,43 +217,18 @@ impl Metrics {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records which connection core the server started with
-    /// (`"threads"` or `"epoll"`); labels the per-backend request
-    /// counter.
-    pub fn set_io_backend(&self, backend: &str) {
-        self.io_backend.store(u64::from(backend == "epoll"), Ordering::Relaxed);
-    }
-
-    /// The connection core recorded by [`Self::set_io_backend`].
-    pub fn io_backend(&self) -> &'static str {
-        if self.io_backend.load(Ordering::Relaxed) == 1 {
-            "epoll"
-        } else {
-            "threads"
-        }
-    }
-
     /// Records one batch-bearing request (`/v1/check`-family or
     /// `/v1/ingest`) by body encoding.
     pub fn record_wire(&self, columnar: bool) {
         self.wire_requests[usize::from(columnar)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one `epoll_wait` return carrying `ready` events (0 on a
-    /// timeout tick). The exposition reports ready-events per wake — a
-    /// saturation gauge for the reactor loops (≈0 idle, ≫1 means each
-    /// wake is servicing many connections).
-    pub fn record_reactor_wake(&self, ready: u64) {
-        self.reactor_wakes.fetch_add(1, Ordering::Relaxed);
-        self.reactor_ready_events.fetch_add(ready, Ordering::Relaxed);
-    }
-
-    /// Tracks one connection entering a connection core.
+    /// Tracks one accepted connection.
     pub fn connection_opened(&self) {
         self.open_connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Tracks one connection leaving a connection core.
+    /// Tracks one connection closing.
     pub fn connection_closed(&self) {
         // Saturating: a spurious extra close must not wrap the gauge.
         let _ = self
@@ -369,18 +333,6 @@ impl Metrics {
             "cc_server_connections_accepted_total {}\n",
             self.connections_accepted.load(Ordering::Relaxed)
         ));
-        let total_requests: u64 = self
-            .requests
-            .iter()
-            .flat_map(|by_class| by_class.iter())
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        out.push_str("# HELP cc_server_io_requests_total Requests served, by connection core.\n");
-        out.push_str("# TYPE cc_server_io_requests_total counter\n");
-        out.push_str(&format!(
-            "cc_server_io_requests_total{{io=\"{}\"}} {total_requests}\n",
-            self.io_backend()
-        ));
         out.push_str(
             "# HELP cc_server_wire_requests_total Batch-bearing requests, by body encoding.\n",
         );
@@ -391,29 +343,18 @@ impl Metrics {
                 self.wire_requests[i].load(Ordering::Relaxed)
             ));
         }
-        out.push_str("# HELP cc_server_open_connections Connections currently registered with a connection core.\n");
+        out.push_str("# HELP cc_server_open_connections Connections currently open.\n");
         out.push_str("# TYPE cc_server_open_connections gauge\n");
         out.push_str(&format!(
             "cc_server_open_connections {}\n",
             self.open_connections.load(Ordering::Relaxed)
         ));
-        out.push_str("# HELP cc_server_compute_queue_depth Jobs waiting for a compute worker.\n");
+        out.push_str("# HELP cc_server_compute_queue_depth Connections waiting for a worker.\n");
         out.push_str("# TYPE cc_server_compute_queue_depth gauge\n");
         out.push_str(&format!(
             "cc_server_compute_queue_depth {}\n",
             self.compute_queue_depth.load(Ordering::Relaxed)
         ));
-        let wakes = self.reactor_wakes.load(Ordering::Relaxed);
-        if wakes > 0 {
-            out.push_str(
-                "# HELP cc_server_reactor_ready_per_wake Ready events per epoll wake (saturation).\n",
-            );
-            out.push_str("# TYPE cc_server_reactor_ready_per_wake gauge\n");
-            out.push_str(&format!(
-                "cc_server_reactor_ready_per_wake {:.4}\n",
-                self.reactor_ready_events.load(Ordering::Relaxed) as f64 / wakes as f64
-            ));
-        }
         render_phase_family(
             &mut out,
             "cc_server_phase_seconds",
@@ -580,24 +521,15 @@ mod tests {
     }
 
     #[test]
-    fn io_wire_and_reactor_series() {
+    fn wire_request_series() {
         let m = Metrics::new();
         m.record_request(Endpoint::Check, 200, 0.001);
         m.record_wire(false);
         m.record_wire(true);
         m.record_wire(true);
         let text = m.render_prometheus(0, 0, &[], &[]);
-        assert!(text.contains("cc_server_io_requests_total{io=\"threads\"} 1"), "{text}");
-        // No epoll wakes recorded: the saturation gauge stays absent.
-        assert!(!text.contains("cc_server_reactor_ready_per_wake"));
-        m.set_io_backend("epoll");
-        m.record_reactor_wake(0);
-        m.record_reactor_wake(4);
-        let text = m.render_prometheus(0, 0, &[], &[]);
-        assert!(text.contains("cc_server_io_requests_total{io=\"epoll\"} 1"), "{text}");
-        assert!(text.contains("cc_server_wire_requests_total{wire=\"json\"} 1"));
+        assert!(text.contains("cc_server_wire_requests_total{wire=\"json\"} 1"), "{text}");
         assert!(text.contains("cc_server_wire_requests_total{wire=\"columnar\"} 2"));
-        assert!(text.contains("cc_server_reactor_ready_per_wake 2.0000"), "{text}");
     }
 
     #[test]

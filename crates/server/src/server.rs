@@ -1,35 +1,30 @@
-//! The TCP layer: listener, two interchangeable connection cores,
-//! graceful shutdown.
+//! The TCP layer: listener, connection queue, worker pool, graceful
+//! shutdown.
 //!
-//! Two I/O backends serve the same router behind the same semantics,
-//! selected at runtime by [`ServerConfig::io`]:
+//! One acceptor thread pushes accepted connections onto a bounded queue
+//! (overflow beyond [`MAX_PENDING_CONNECTIONS`] is answered `503` and
+//! closed, never buffered without limit); `workers` threads pop and
+//! drive connections through the incremental parser → router → response
+//! cycle. The worker that reads a request also runs it and writes the
+//! reply — no cross-thread hand-off on the request path.
 //!
-//! - **threads** (portable, any platform): one acceptor thread pushes
-//!   accepted connections onto a bounded queue (overflow beyond
-//!   [`MAX_PENDING_CONNECTIONS`] is answered `503` and closed, never
-//!   buffered without limit); `workers` threads pop and drive
-//!   connections through the incremental parser → router → response
-//!   cycle. Keep-alive connections do not pin workers: after each
-//!   response, if other connections are waiting, the connection is
-//!   **requeued** behind them (unless it has pipelined bytes in
-//!   flight), so N persistent clients round-robin with everyone else
-//!   instead of starving the pool. Everything is `std` — threads,
-//!   `Mutex` + `Condvar`, blocking sockets with read timeouts (the
-//!   timeout doubles as the shutdown poll, so no connection can pin a
-//!   worker forever).
-//! - **epoll** (Linux, the default there): the edge-triggered readiness
-//!   event loop in [`crate::reactor`] — non-blocking per-connection
-//!   state machines sharded across reactor threads, with request
-//!   execution handed to a compute pool so reactors never block. Same
-//!   parser, same router, same timeout/shedding/drain semantics; only
-//!   the scheduling of bytes differs.
+//! A worker serves one connection at a time, so keep-alive connections
+//! must not pin workers. A connection goes back to the tail of the queue
+//! whenever other connections are waiting and it has no request bytes
+//! buffered: after each response, and after each 200 ms read tick that
+//! passes with no bytes. N persistent clients — busy or idle — thus take
+//! turns with everyone else instead of starving the pool. A requeued
+//! connection carries its last-activity instant, so the keep-alive clock
+//! keeps running while it waits. Everything is `std` — threads, `Mutex` +
+//! `Condvar`, blocking sockets with read timeouts (the timeout doubles
+//! as the shutdown poll, so no connection can pin a worker forever).
 //!
-//! Shutdown ([`ServerHandle::shutdown`]) is graceful by construction
-//! under both cores: the flag flips, the acceptor is unblocked by a
-//! wake-up connection and stops accepting, in-flight requests finish
-//! (the response is forced `connection: close`), already-accepted idle
-//! connections are drained or dropped, and only then do the threads
-//! exit — no fully-received request is dropped.
+//! Shutdown ([`ServerHandle::shutdown`]) is graceful by construction:
+//! the flag flips, the acceptor is unblocked by a wake-up connection and
+//! stops accepting, in-flight requests finish (the response is forced
+//! `connection: close`), already-accepted idle connections are drained
+//! or dropped, and only then do the threads exit — no fully-received
+//! request is dropped.
 
 use crate::http::{RequestParser, Response};
 use crate::metrics::{Endpoint, Metrics};
@@ -46,31 +41,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Which connection core drives the sockets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoMode {
-    /// Pick the best available backend: epoll on Linux (falling back to
-    /// threads if the event loop cannot be set up), threads elsewhere.
-    Auto,
-    /// The portable blocking worker-pool core.
-    Threads,
-    /// The edge-triggered epoll readiness core (Linux only; startup
-    /// fails elsewhere or when epoll is unavailable).
-    Epoll,
-}
-
-impl IoMode {
-    /// Parses the CLI spelling (`auto` | `threads` | `epoll`).
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(IoMode::Auto),
-            "threads" => Some(IoMode::Threads),
-            "epoll" => Some(IoMode::Epoll),
-            _ => None,
-        }
-    }
-}
 
 /// Where structured log lines are streamed (they are always ring-
 /// buffered for `GET /v1/logs` regardless).
@@ -92,15 +62,9 @@ pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port (the bound address
     /// is on [`ServerHandle::addr`]).
     pub addr: String,
-    /// Compute threads. Under the threads core each drives one
-    /// connection at a time; under the epoll core they form the compute
-    /// pool that executes routed requests off the reactors.
+    /// Worker threads. Each serves one connection at a time: it reads
+    /// a request, runs it and writes the reply.
     pub workers: usize,
-    /// Connection core selection (see [`IoMode`]).
-    pub io: IoMode,
-    /// Reactor threads for the epoll core (`0` = one per available
-    /// core, capped at 8). Ignored by the threads core.
-    pub reactors: usize,
     /// Per-request body ceiling in bytes.
     pub max_body_bytes: usize,
     /// How long an idle keep-alive connection is held before closing.
@@ -152,8 +116,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
-            io: IoMode::Auto,
-            reactors: 0,
             max_body_bytes: crate::http::DEFAULT_MAX_BODY_BYTES,
             keep_alive: Duration::from_secs(5),
             state_dir: None,
@@ -171,7 +133,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the connection core's threads and the handle.
+/// State shared by the server's threads and the handle.
 pub(crate) struct Shared {
     pub(crate) registry: ProfileRegistry,
     pub(crate) monitors: MonitorSet,
@@ -179,11 +141,9 @@ pub(crate) struct Shared {
     pub(crate) durability: Option<Durability>,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
-    /// Accepted connections awaiting a worker, with their enqueue
-    /// instant — the dwell time becomes the first request's `queue_wait`
-    /// trace phase.
-    pub(crate) queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    pub(crate) work_ready: Condvar,
+    /// Connections awaiting a worker.
+    queue: Mutex<VecDeque<Parked>>,
+    work_ready: Condvar,
     /// The structured logger: ring-buffered for `GET /v1/logs`, with an
     /// optional stderr/file stream.
     pub(crate) logger: Logger,
@@ -197,7 +157,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Whether this server's request path records trace spans.
-    pub(crate) fn tracing(&self) -> bool {
+    fn tracing(&self) -> bool {
         self.config.trace_buffer > 0 && cc_trace::enabled()
     }
 
@@ -206,7 +166,7 @@ impl Shared {
     /// request on the hot path), `warn` for client errors, `error` for
     /// server errors. The level check precedes the format so silenced
     /// lines cost no allocation.
-    pub(crate) fn log_request(
+    fn log_request(
         &self,
         trace: u64,
         endpoint: Endpoint,
@@ -234,18 +194,18 @@ impl Shared {
 /// Per-request trace identity: the numeric span id plus the exact token
 /// echoed back on the `x-ccsynth-trace` response header (the client's
 /// own token when supplied, the generated id's hex otherwise).
-pub(crate) struct TraceCtx {
-    pub(crate) id: u64,
-    pub(crate) echo: String,
+struct TraceCtx {
+    id: u64,
+    echo: String,
 }
 
 /// Response header carrying the trace id.
-pub(crate) const TRACE_HEADER: &str = "x-ccsynth-trace";
+const TRACE_HEADER: &str = "x-ccsynth-trace";
 
 /// Resolves a request's trace identity: accept `X-Ccsynth-Trace` when
 /// present (hex tokens round-trip exactly; other tokens are hashed for
 /// span tagging but echoed verbatim), generate otherwise.
-pub(crate) fn trace_ctx(req: &crate::http::Request) -> TraceCtx {
+fn trace_ctx(req: &crate::http::Request) -> TraceCtx {
     match req.header(TRACE_HEADER).map(str::trim).filter(|v| !v.is_empty()) {
         Some(v) => {
             let mut echo = v.to_owned();
@@ -259,14 +219,15 @@ pub(crate) fn trace_ctx(req: &crate::http::Request) -> TraceCtx {
     }
 }
 
-/// The threads belonging to whichever connection core is running.
-enum Core {
-    Threads {
-        acceptor: std::thread::JoinHandle<()>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Epoll(crate::reactor::EpollCore),
+/// A connection waiting in the queue for a worker.
+struct Parked {
+    stream: TcpStream,
+    /// When it entered the queue — the dwell becomes the next request's
+    /// `queue_wait` trace phase.
+    queued_at: Instant,
+    /// When it was accepted, last read bytes or last sent a response:
+    /// the keep-alive clock, which a requeue must not reset.
+    last_activity: Instant,
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
@@ -275,7 +236,8 @@ enum Core {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    core: Core,
+    acceptor: std::thread::JoinHandle<()>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     autosaver: Option<std::thread::JoinHandle<()>>,
     sampler: Option<std::thread::JoinHandle<()>>,
     puller: Option<std::thread::JoinHandle<()>>,
@@ -350,14 +312,23 @@ impl Server {
             selfwatch: SelfWatchState::new(),
             fleet,
         });
-        let core = start_core(listener, &shared, workers)?;
+        let acceptor = {
+            let shared = shared.clone();
+            std::thread::spawn(move || accept_loop(&listener, &shared))
+        };
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                let shared = shared.clone();
+                std::thread::spawn(move || worker_loop(&shared))
+            })
+            .collect();
         shared.logger.info(
             boot_trace,
             "",
             format!(
-                "cc_server listening on http://{addr} (io {}, {workers} worker{})",
-                shared.metrics.io_backend(),
-                if workers == 1 { "" } else { "s" }
+                "cc_server listening on http://{addr} ({} worker{})",
+                workers.len(),
+                if workers.len() == 1 { "" } else { "s" }
             ),
         );
         let autosaver = autosave.map(|interval| {
@@ -390,63 +361,7 @@ impl Server {
                 let shared = shared.clone();
                 std::thread::spawn(move || crate::fleet::pull_loop(&shared.fleet, &shared.shutdown))
             });
-        Ok(ServerHandle { addr, shared, core, autosaver, sampler, puller })
-    }
-}
-
-/// Spawns the connection core requested by `config.io`.
-fn start_core(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    workers: usize,
-) -> std::io::Result<Core> {
-    let start_threads = |listener: TcpListener| {
-        shared.metrics.set_io_backend("threads");
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let workers = (0..workers)
-            .map(|_| {
-                let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Core::Threads { acceptor, workers }
-    };
-    match shared.config.io {
-        IoMode::Threads => Ok(start_threads(listener)),
-        #[cfg(target_os = "linux")]
-        IoMode::Epoll => {
-            shared.metrics.set_io_backend("epoll");
-            crate::reactor::EpollCore::start(listener, shared.clone(), workers).map(Core::Epoll)
-        }
-        #[cfg(not(target_os = "linux"))]
-        IoMode::Epoll => Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "epoll backend is Linux-only; use --io threads",
-        )),
-        #[cfg(target_os = "linux")]
-        IoMode::Auto => {
-            // epoll can be unavailable under exotic sandboxes; Auto
-            // promises a running server, so keep a duplicate of the
-            // bound socket (same port) to fall back onto.
-            let backup = listener.try_clone()?;
-            shared.metrics.set_io_backend("epoll");
-            match crate::reactor::EpollCore::start(listener, shared.clone(), workers) {
-                Ok(core) => Ok(Core::Epoll(core)),
-                Err(e) => {
-                    shared.logger.warn(
-                        0,
-                        "",
-                        format!("epoll unavailable ({e}); falling back to threads"),
-                    );
-                    Ok(start_threads(backup))
-                }
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        IoMode::Auto => Ok(start_threads(listener)),
+        Ok(ServerHandle { addr, shared, acceptor, workers, autosaver, sampler, puller })
     }
 }
 
@@ -486,12 +401,6 @@ impl ServerHandle {
         &self.shared.fleet
     }
 
-    /// The connection core actually running (`"epoll"` or `"threads"`)
-    /// — [`IoMode::Auto`] resolves when the server starts.
-    pub fn io_backend(&self) -> &'static str {
-        self.shared.metrics.io_backend()
-    }
-
     /// Whether a state directory is configured (durable mode).
     pub fn durable(&self) -> bool {
         self.shared.durability.is_some()
@@ -521,10 +430,6 @@ impl ServerHandle {
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.work_ready.notify_all();
-        #[cfg(target_os = "linux")]
-        if let Core::Epoll(core) = &self.core {
-            core.wake();
-        }
         // Unblock the acceptor's blocking `accept` with a throwaway
         // connection; harmless if the acceptor already exited. A
         // wildcard bind is not connectable on every platform — aim the
@@ -537,15 +442,9 @@ impl ServerHandle {
             });
         }
         let _ = TcpStream::connect(wake);
-        match self.core {
-            Core::Threads { acceptor, workers } => {
-                let _ = acceptor.join();
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Core::Epoll(core) => core.join(),
+        let _ = self.acceptor.join();
+        for w in self.workers {
+            let _ = w.join();
         }
         if let Some(a) = self.autosaver {
             let _ = a.join();
@@ -606,7 +505,8 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     shared.logger.warn(0, "", "accept queue full; connection shed with 503");
                     continue;
                 }
-                queue.push_back((stream, Instant::now()));
+                let now = Instant::now();
+                queue.push_back(Parked { stream, queued_at: now, last_activity: now });
                 shared.metrics.set_compute_queue_depth(queue.len());
                 drop(queue);
                 shared.work_ready.notify_one();
@@ -620,12 +520,12 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let stream = {
+        let parked = {
             let mut queue = shared.queue.lock().expect("server lock never poisoned");
             loop {
-                if let Some(s) = queue.pop_front() {
+                if let Some(p) = queue.pop_front() {
                     shared.metrics.set_compute_queue_depth(queue.len());
-                    break Some(s);
+                    break Some(p);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
@@ -637,8 +537,8 @@ fn worker_loop(shared: &Shared) {
                 queue = q;
             }
         };
-        match stream {
-            Some((s, queued_at)) => serve_connection(s, queued_at, shared),
+        match parked {
+            Some(p) => serve_connection(p, shared),
             None => return,
         }
     }
@@ -669,28 +569,24 @@ fn autosave_loop(shared: &Shared, interval: Duration) {
 }
 
 /// Read timeout on connection sockets — the cadence at which idle
-/// connections notice shutdown and the keep-alive clock.
-pub(crate) const READ_TICK: Duration = Duration::from_millis(200);
+/// connections notice shutdown and the keep-alive clock, and the slice an
+/// idle connection holds a worker while others wait.
+const READ_TICK: Duration = Duration::from_millis(200);
 
 /// Ceiling on how long a response write may block on a client that has
 /// stopped reading — past it, the connection is dropped so no worker is
 /// pinned by a full send buffer.
-pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Ceiling on how long one request may take to *arrive* in full. Bounds
 /// the slow-trickle client (one byte per tick resets the idle clock but
 /// not this one): past it, `408` and close.
-pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Routes one request with panic containment — a handler panic answers
-/// `500` instead of killing the calling thread. Both connection cores
-/// execute requests through here. `trace_id` tags any pipeline spans the
-/// handler records (0 when tracing is off).
-pub(crate) fn execute(
-    req: &crate::http::Request,
-    shared: &Shared,
-    trace_id: u64,
-) -> (Endpoint, Response) {
+/// `500` instead of killing the calling thread. `trace_id` tags any
+/// pipeline spans the handler records (0 when tracing is off).
+fn execute(req: &crate::http::Request, shared: &Shared, trace_id: u64) -> (Endpoint, Response) {
     catch_unwind(AssertUnwindSafe(|| {
         crate::api::route(
             req,
@@ -712,27 +608,41 @@ pub(crate) fn execute(
 }
 
 /// Drives one connection: feed → parse → route → respond, until close /
-/// idle timeout / request deadline / terminal parse error / shutdown.
-/// `queued_at` is when the acceptor parked the connection — its dwell is
-/// the first request's `queue_wait` phase (later keep-alive requests on
-/// the same pickup report 0: they never waited in the accept queue).
-fn serve_connection(stream: TcpStream, queued_at: Instant, shared: &Shared) {
-    if drive_connection(stream, queued_at, shared) {
+/// idle timeout / request deadline / terminal parse error / shutdown, or
+/// until it is requeued. The queue dwell is the first request's
+/// `queue_wait` phase (later keep-alive requests on the same pickup
+/// report 0: they never waited in the queue).
+fn serve_connection(parked: Parked, shared: &Shared) {
+    if drive_connection(parked, shared) {
         shared.metrics.connection_closed();
     }
 }
 
+/// Parks `stream` at the back of the queue when other connections are
+/// waiting for a worker; hands it back when none are.
+fn requeue(shared: &Shared, stream: TcpStream, last_activity: Instant) -> Option<TcpStream> {
+    let mut queue = shared.queue.lock().expect("server lock never poisoned");
+    if queue.is_empty() {
+        return Some(stream);
+    }
+    queue.push_back(Parked { stream, queued_at: Instant::now(), last_activity });
+    shared.metrics.set_compute_queue_depth(queue.len());
+    drop(queue);
+    shared.work_ready.notify_one();
+    None
+}
+
 /// [`serve_connection`]'s body. Returns whether the connection is done
-/// (`false` only on the keep-alive requeue path, where the stream moved
-/// back into the accept queue and stays open).
-fn drive_connection(mut stream: TcpStream, queued_at: Instant, shared: &Shared) -> bool {
+/// (`false` only on the requeue paths, where the stream moved back into
+/// the queue and stays open).
+fn drive_connection(parked: Parked, shared: &Shared) -> bool {
+    let Parked { mut stream, queued_at, mut last_activity } = parked;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let tracing = shared.tracing();
     let mut parser = RequestParser::new(shared.config.max_body_bytes);
     let mut read_buf = [0u8; 16 * 1024];
-    let mut last_activity = Instant::now();
     // Set while a request is partially buffered; enforces REQUEST_DEADLINE.
     let mut request_started: Option<Instant> = None;
     // Accept-queue dwell, attributed to the first request only.
@@ -800,21 +710,17 @@ fn drive_connection(mut stream: TcpStream, queued_at: Instant, shared: &Shared) 
                 if !keep_alive || !ok {
                     return true;
                 }
+                last_activity = Instant::now();
                 // Fairness: a persistent keep-alive client must not pin
                 // this worker while other connections wait. With no
                 // pipelined bytes buffered, the connection can be parked
                 // at the back of the queue and picked up fresh later.
                 if parser.is_empty() {
-                    let mut queue = shared.queue.lock().expect("server lock never poisoned");
-                    if !queue.is_empty() {
-                        queue.push_back((stream, Instant::now()));
-                        shared.metrics.set_compute_queue_depth(queue.len());
-                        drop(queue);
-                        shared.work_ready.notify_one();
-                        return false;
+                    match requeue(shared, stream, last_activity) {
+                        Some(s) => stream = s,
+                        None => return false,
                     }
                 }
-                last_activity = Instant::now();
                 continue;
             }
             Ok(None) => {
@@ -867,6 +773,14 @@ fn drive_connection(mut stream: TcpStream, queued_at: Instant, shared: &Shared) 
             {
                 if last_activity.elapsed() >= shared.config.keep_alive {
                     return true;
+                }
+                // Fairness again: an idle keep-alive connection yields
+                // the worker after one tick when others are waiting.
+                if parser.is_empty() {
+                    match requeue(shared, stream, last_activity) {
+                        Some(s) => stream = s,
+                        None => return false,
+                    }
                 }
             }
             Err(_) => return true,

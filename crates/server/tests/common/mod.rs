@@ -5,7 +5,7 @@
 #![allow(dead_code)]
 
 use cc_frame::DataFrame;
-use cc_server::{IoMode, ProfileRegistry, Server, ServerConfig, ServerHandle};
+use cc_server::{ProfileRegistry, Server, ServerConfig, ServerHandle};
 use conformance::{synthesize, ConformanceProfile, SynthOptions};
 use std::path::PathBuf;
 
@@ -55,29 +55,12 @@ pub fn write_profile(dir: &std::path::Path, name: &str, profile: &ConformancePro
     std::fs::write(dir.join(format!("{name}.json")), json).unwrap();
 }
 
-/// Starts a server over `dir` on an ephemeral port with the default
-/// connection core ([`IoMode::Auto`]: epoll on Linux, threads
-/// elsewhere).
+/// Starts a server over `dir` on an ephemeral port.
 pub fn start_server(dir: &std::path::Path, workers: usize) -> ServerHandle {
-    start_server_io(dir, workers, IoMode::Auto)
-}
-
-/// Starts a server over `dir` on an ephemeral port with an explicit
-/// connection core — the semantics tests run on both.
-pub fn start_server_io(dir: &std::path::Path, workers: usize, io: IoMode) -> ServerHandle {
     let registry = ProfileRegistry::from_dir(dir).unwrap();
     let config =
-        ServerConfig { addr: "127.0.0.1:0".to_owned(), workers, io, ..ServerConfig::default() };
+        ServerConfig { addr: "127.0.0.1:0".to_owned(), workers, ..ServerConfig::default() };
     Server::start(config, registry).unwrap()
-}
-
-/// Both connection cores on this platform (epoll is Linux-only).
-pub fn io_modes() -> Vec<IoMode> {
-    if cfg!(target_os = "linux") {
-        vec![IoMode::Threads, IoMode::Epoll]
-    } else {
-        vec![IoMode::Threads]
-    }
 }
 
 /// The frame serialized as the wire's columnar `{"columns": …}` body —

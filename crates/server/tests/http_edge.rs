@@ -118,17 +118,9 @@ fn malformed_bodies_and_framing() {
 
 #[test]
 fn live_server_survives_abuse() {
-    // Same abuse, both connection cores: the epoll reactor and the
-    // threaded pool must shed it identically.
-    for io in common::io_modes() {
-        live_server_survives_abuse_on(io);
-    }
-}
-
-fn live_server_survives_abuse_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("abuse_{io:?}"));
+    let dir = common::temp_dir("abuse");
     common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
-    let handle = common::start_server_io(&dir, 2, io);
+    let handle = common::start_server(&dir, 2);
     let addr = handle.addr();
 
     // 1. Abrupt disconnect mid-request: half a request line, then drop.

@@ -181,15 +181,9 @@ fn hot_reload_under_concurrent_traffic() {
 
 #[test]
 fn shutdown_is_not_blocked_by_a_partial_request() {
-    for io in common::io_modes() {
-        shutdown_is_not_blocked_by_a_partial_request_on(io);
-    }
-}
-
-fn shutdown_is_not_blocked_by_a_partial_request_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("partial_{io:?}"));
+    let dir = common::temp_dir("partial");
     common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
-    let handle = common::start_server_io(&dir, 1, io);
+    let handle = common::start_server(&dir, 1);
     let addr = handle.addr();
     // Half a request, never completed: the lone worker is reading it.
     use std::io::Write;
@@ -210,19 +204,11 @@ fn shutdown_is_not_blocked_by_a_partial_request_on(io: cc_server::IoMode) {
 
 #[test]
 fn persistent_keep_alive_client_does_not_starve_others() {
-    for io in common::io_modes() {
-        persistent_keep_alive_client_does_not_starve_others_on(io);
-    }
-}
-
-fn persistent_keep_alive_client_does_not_starve_others_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("fairness_{io:?}"));
+    let dir = common::temp_dir("fairness");
     common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
-    // One worker: under the threads core, without fair requeueing a
-    // single persistent keep-alive client would pin it forever; under
-    // the epoll core the lone compute worker drains jobs FIFO across
-    // connections.
-    let handle = common::start_server_io(&dir, 1, io);
+    // One worker: without fair requeueing a single persistent
+    // keep-alive client would pin it forever.
+    let handle = common::start_server(&dir, 1);
     let addr = handle.addr();
     let body = common::columns_body(&common::regime_frame(64, 1.0));
 
@@ -253,16 +239,78 @@ fn persistent_keep_alive_client_does_not_starve_others_on(io: cc_server::IoMode)
 }
 
 #[test]
-fn graceful_shutdown_completes_inflight_requests() {
-    for io in common::io_modes() {
-        graceful_shutdown_completes_inflight_requests_on(io);
-    }
+fn idle_keep_alive_client_does_not_hold_the_only_worker() {
+    let dir = common::temp_dir("idle_fairness");
+    common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
+    // One worker and a client that goes quiet after its first request:
+    // the idle connection must yield the worker after a read tick, not
+    // hold it for the whole keep-alive window.
+    let handle = common::start_server(&dir, 1);
+    let addr = handle.addr();
+    let mut idle = HttpClient::connect(addr).unwrap();
+    assert_eq!(idle.get("/healthz").unwrap().status, 200);
+    std::thread::sleep(std::time::Duration::from_millis(50));
+
+    let started = std::time::Instant::now();
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    use std::io::{Read, Write};
+    s.write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
+    let mut buf = Vec::new();
+    s.read_to_end(&mut buf).expect("latecomer answered");
+    let waited = started.elapsed();
+    assert!(String::from_utf8_lossy(&buf).starts_with("HTTP/1.1 200"));
+    assert!(
+        waited < std::time::Duration::from_secs(1),
+        "latecomer waited {waited:?} behind an idle keep-alive connection"
+    );
+    // The requeued connection is still open and still served.
+    assert_eq!(idle.get("/healthz").unwrap().status, 200);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn graceful_shutdown_completes_inflight_requests_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("drain_{io:?}"));
+#[test]
+fn requeued_idle_connection_still_expires_after_keep_alive() {
+    let dir = common::temp_dir("idle_expiry");
+    common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
+    let keep_alive = std::time::Duration::from_secs(1);
+    let registry = cc_server::ProfileRegistry::from_dir(&dir).unwrap();
+    let config = cc_server::ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        keep_alive,
+        ..cc_server::ServerConfig::default()
+    };
+    let handle = cc_server::Server::start(config, registry).unwrap();
+    let addr = handle.addr();
+    use std::io::{Read, Write};
+    // Two idle connections and one worker: each tick the held one is
+    // requeued behind the other, so both keep moving through the queue.
+    // The keep-alive clock must survive those moves.
+    let _other = std::net::TcpStream::connect(addr).unwrap();
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(4))).unwrap();
+    let started = std::time::Instant::now();
+    s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let mut buf = Vec::new();
+    s.read_to_end(&mut buf).expect("server closes the idle connection");
+    let lived = started.elapsed();
+    assert!(String::from_utf8_lossy(&buf).starts_with("HTTP/1.1 200"));
+    assert!(lived >= keep_alive, "closed after {lived:?}, before keep-alive ran out");
+    assert!(
+        lived < keep_alive + std::time::Duration::from_secs(2),
+        "idle connection outlived keep-alive: {lived:?}"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn graceful_shutdown_completes_inflight_requests() {
+    let dir = common::temp_dir("drain");
     common::write_profile(&dir, "p", &common::regime_profile(400, 0.0));
-    let handle = common::start_server_io(&dir, 2, io);
+    let handle = common::start_server(&dir, 2);
     let addr = handle.addr();
     let body = common::columns_body(&common::regime_frame(2000, 1.0));
 

@@ -10,20 +10,18 @@ mod common;
 
 use cc_server::json::{as_f64, as_str, get as field};
 use cc_server::{
-    HttpClient, IoMode, ProfileRegistry, SelfWatchConfig, Server, ServerConfig, ServerHandle,
-    SELF_MONITOR,
+    HttpClient, ProfileRegistry, SelfWatchConfig, Server, ServerConfig, ServerHandle, SELF_MONITOR,
 };
 use serde_json::Value;
 use std::time::{Duration, Instant};
 
 /// A server with an aggressive self-watch cadence so the whole
 /// synthesize → calibrate → alarm arc fits in test time.
-fn start_selfwatch_server(dir: &std::path::Path, io: IoMode) -> ServerHandle {
+fn start_selfwatch_server(dir: &std::path::Path) -> ServerHandle {
     let registry = ProfileRegistry::from_dir(dir).unwrap();
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
-        io,
         self_watch: Some(SelfWatchConfig {
             interval: Duration::from_millis(25),
             warmup: 4,
@@ -58,7 +56,7 @@ fn is_true(v: &Value, key: &str) -> bool {
 fn induced_degradation_raises_the_self_alarm_everywhere() {
     let dir = common::temp_dir("selfwatch_alarm");
     common::write_profile(&dir, "main", &common::regime_profile(600, 0.0));
-    let handle = start_selfwatch_server(&dir, IoMode::Auto);
+    let handle = start_selfwatch_server(&dir);
     let mut load = HttpClient::connect(handle.addr()).unwrap();
     let mut probe = HttpClient::connect(handle.addr()).unwrap();
 
@@ -158,7 +156,7 @@ fn induced_degradation_raises_the_self_alarm_everywhere() {
 fn self_report_and_reserved_namespace_guards() {
     let dir = common::temp_dir("selfwatch_reserved");
     common::write_profile(&dir, "main", &common::regime_profile(600, 0.0));
-    let handle = start_selfwatch_server(&dir, IoMode::Auto);
+    let handle = start_selfwatch_server(&dir);
     let mut client = HttpClient::connect(handle.addr()).unwrap();
 
     let report = self_report(&mut client);

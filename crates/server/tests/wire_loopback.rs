@@ -1,6 +1,5 @@
 //! Wire-negotiation loopback tests: the binary columnar path must be
-//! bit-identical to JSON on the same batch — on both connection cores —
-//! and every Content-Type/Accept combination must interoperate.
+//! bit-identical to JSON on the same batch, and every Content-Type/Accept combination must interoperate.
 
 mod common;
 
@@ -24,16 +23,10 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 #[test]
 fn columnar_check_bit_identical_to_json() {
-    for io in common::io_modes() {
-        columnar_check_bit_identical_to_json_on(io);
-    }
-}
-
-fn columnar_check_bit_identical_to_json_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("wirebitid_{io:?}"));
+    let dir = common::temp_dir("wirebitid");
     let profile = common::regime_profile(900, 0.0);
     common::write_profile(&dir, "main", &profile);
-    let handle = common::start_server_io(&dir, 2, io);
+    let handle = common::start_server(&dir, 2);
     let mut client = HttpClient::connect(handle.addr()).unwrap();
     let plan = CompiledProfile::compile(&profile);
 

@@ -60,15 +60,11 @@ pub enum Phase {
     Serialize,
     Fsync,
     Rename,
-    /// Event: one epoll wake (extra = ready-event count).
-    ReactorWake,
-    /// Event: a reactor mailbox drain (extra = messages drained).
-    MailboxDepth,
 }
 
 impl Phase {
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 15] = [
+    pub const ALL: [Phase; 13] = [
         Phase::Parse,
         Phase::QueueWait,
         Phase::Handle,
@@ -82,8 +78,6 @@ impl Phase {
         Phase::Serialize,
         Phase::Fsync,
         Phase::Rename,
-        Phase::ReactorWake,
-        Phase::MailboxDepth,
     ];
 
     /// The four server request-lifecycle phases, in pipeline order.
@@ -109,8 +103,6 @@ impl Phase {
             Phase::Serialize => "serialize",
             Phase::Fsync => "fsync",
             Phase::Rename => "rename",
-            Phase::ReactorWake => "reactor_wake",
-            Phase::MailboxDepth => "mailbox_depth",
         }
     }
 

@@ -7,7 +7,7 @@
 //! ccsynth monitor <data.csv|-> --profile <profile.json> [--window <n>] [--stride <s>] [--detector <d>] [--calibrate <k>] [--threads <t>]
 //! ccsynth explain <profile.json> <train.csv> <serve.csv> [--sample <n>]
 //! ccsynth sql     <profile.json> <table_name>
-//! ccsynth serve   [--dir <profiles-dir>] [--profile <file>]... [--addr <host:port>] [--workers <n>] [--io auto|epoll|threads]
+//! ccsynth serve   [--dir <profiles-dir>] [--profile <file>]... [--addr <host:port>] [--workers <n>]
 //! ccsynth trace   <host:port> [--top <k>] [--min-us <n>] [--endpoint <e>] [--monitor <m>] [--json]
 //! ccsynth wire    <data.csv> --out <batch.bin>
 //! ```
@@ -31,7 +31,7 @@ use ccsynth::conformance::{
 };
 use ccsynth::frame::{read_csv, DataFrame};
 use ccsynth::monitor::{DetectorKind, MonitorConfig, OnlineMonitor, WindowSpec};
-use ccsynth::server::{IoMode, LogSink, ProfileRegistry, SelfWatchConfig, Server, ServerConfig};
+use ccsynth::server::{LogSink, ProfileRegistry, SelfWatchConfig, Server, ServerConfig};
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
@@ -44,7 +44,7 @@ const USAGE: &str = "usage:
   ccsynth monitor <data.csv|-> (--profile <profile.json> | --resume <snapshot>) [--window <n>] [--stride <s>] [--detector <d>] [--calibrate <k>] [--patience <p>] [--threads <t>] [--propose-out <f>] [--state-out <f>]
   ccsynth explain <profile.json> <train.csv> <serve.csv> [--sample <n>]
   ccsynth sql     <profile.json> <table_name>
-  ccsynth serve   [--dir <profiles-dir>] [--profile <file>]... [--addr <host:port>] [--workers <n>] [--io auto|epoll|threads] [--reactors <n>] [--max-body-mb <n>] [--state-dir <d>] [--autosave-secs <n>] [--trace-buffer <n>] [--log-level <l>] [--log-file <f>] [--self-watch <ms|off>] [--role standalone|shard|coordinator] [--shard <host:port>]... [--pull-ms <n>] [--export-cap <n>]
+  ccsynth serve   [--dir <profiles-dir>] [--profile <file>]... [--addr <host:port>] [--workers <n>] [--max-body-mb <n>] [--state-dir <d>] [--autosave-secs <n>] [--trace-buffer <n>] [--log-level <l>] [--log-file <f>] [--self-watch <ms|off>] [--role standalone|shard|coordinator] [--shard <host:port>]... [--pull-ms <n>] [--export-cap <n>]
   ccsynth trace   <host:port> [--top <k>] [--min-us <n>] [--endpoint <e>] [--monitor <m>] [--limit <n>] [--json]
   ccsynth ops     <host:port> [--json]
   ccsynth fleet   <host:port> [--json]
@@ -110,7 +110,7 @@ ExTuNe: ranks attributes by responsibility for non-conformance.
         }
         "sql" => "usage: ccsynth sql <profile.json> <table_name>\n\nRenders the profile as a SQL CHECK-style guard for a table.",
         "serve" => {
-            "usage: ccsynth serve [--dir <profiles-dir>] [--profile <file>]... [--addr <host:port>] [--workers <n>] [--io auto|epoll|threads] [--reactors <n>] [--max-body-mb <n>] [--state-dir <d>] [--autosave-secs <n>] [--trace-buffer <n>] [--log-level <l>] [--log-file <f>] [--self-watch <ms|off>] [--role standalone|shard|coordinator] [--shard <host:port>]... [--pull-ms <n>] [--export-cap <n>]\n
+            "usage: ccsynth serve [--dir <profiles-dir>] [--profile <file>]... [--addr <host:port>] [--workers <n>] [--max-body-mb <n>] [--state-dir <d>] [--autosave-secs <n>] [--trace-buffer <n>] [--log-level <l>] [--log-file <f>] [--self-watch <ms|off>] [--role standalone|shard|coordinator] [--shard <host:port>]... [--pull-ms <n>] [--export-cap <n>]\n
 Starts the cc_server daemon over a directory (or explicit files) of
 profile JSON. Resource routes under /v2: GET/POST /v2/monitors/…,
 /v2/profiles/…, /v2/check, /v2/explain, /v2/drift, /v2/snapshot,
@@ -124,11 +124,9 @@ Batch endpoints also speak the binary columnar wire format
   --dir <d>           serve every *.json in d (default: profiles/)
   --profile <f>       serve an explicit profile file (repeatable)
   --addr <a>          bind address (default 127.0.0.1:8642; port 0 = ephemeral)
-  --workers <n>       compute threads (default 4)
-  --io <mode>         connection core: auto (default; epoll on Linux),
-                      epoll (edge-triggered readiness loop), threads
-                      (portable blocking pool)
-  --reactors <n>      epoll reactor threads (default: one per core, max 8)
+  --workers <n>       worker threads (default 4); each serves one
+                      connection at a time, and idle keep-alive
+                      connections take turns in 200 ms slices
   --max-body-mb <n>   request body limit in MiB (default 32)
   --state-dir <d>     durable state: restore on boot (corrupt snapshots
                       quarantined), snapshot on shutdown and on
@@ -721,8 +719,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         Flag::multi("--profile"),
         Flag::value("--addr"),
         Flag::value("--workers"),
-        Flag::value("--io"),
-        Flag::value("--reactors"),
         Flag::value("--max-body-mb"),
         Flag::value("--state-dir"),
         Flag::value("--autosave-secs"),
@@ -766,12 +762,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             0 => return Err(CliError::Usage("--autosave-secs must be positive".into())),
             secs => Some(std::time::Duration::from_secs(secs as u64)),
         },
-    };
-    let io = match p.value("--io") {
-        None => IoMode::Auto,
-        Some(spelled) => IoMode::parse(spelled).ok_or_else(|| {
-            CliError::Usage(format!("unknown --io mode '{spelled}' (auto, epoll, threads)"))
-        })?,
     };
     // `0` is meaningful here (tracing off), so no `count_or`.
     let trace_buffer = match p.value("--trace-buffer") {
@@ -836,8 +826,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let config = ServerConfig {
         addr: p.value("--addr").unwrap_or("127.0.0.1:8642").to_owned(),
         workers: p.count_or("--workers", 4)?,
-        io,
-        reactors: p.count_or("--reactors", 0)?,
         max_body_bytes,
         state_dir,
         autosave,
@@ -856,11 +844,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(format!("cannot start server: {e}")))?;
     let snap = handle.registry().snapshot();
     println!(
-        "cc_server listening on http://{} ({} profile{}, {workers} workers, {} io)",
+        "cc_server listening on http://{} ({} profile{}, {workers} workers)",
         handle.addr(),
         snap.entries().len(),
         if snap.entries().len() == 1 { "" } else { "s" },
-        handle.io_backend(),
     );
     if handle.durable() {
         println!(
