@@ -56,7 +56,7 @@ thread_local! {
 /// Number of [`CompiledProfile::compile`] runs on the calling thread.
 ///
 /// Diagnostic for cache-regression tests: serving surfaces that claim to
-/// compile once (e.g. [`crate::DriftMonitor`]) assert this stays flat
+/// compile once (e.g. `cc_monitor`'s `OnlineMonitor`) assert this stays flat
 /// across repeated observations. Thread-local so concurrent tests do not
 /// interfere.
 pub fn thread_compile_count() -> usize {

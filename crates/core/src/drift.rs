@@ -10,7 +10,6 @@ use crate::compiled::CompiledProfile;
 use crate::constraint::{ConformanceProfile, ProfileError};
 use cc_frame::DataFrame;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// How tuple-level violations are folded into one drift magnitude.
 /// (Serializable so monitor configurations survive state snapshots.)
@@ -66,8 +65,8 @@ impl DriftAggregator {
 
 /// Drift of `serving` with respect to the profile learned from a reference
 /// dataset. Compiles the profile once; callers scoring many windows
-/// should compile once themselves ([`CompiledProfile::compile`], or
-/// [`DriftMonitor`] which caches the plan) and use
+/// should compile once themselves ([`CompiledProfile::compile`], as
+/// [`drift_series`] and the `cc_monitor` crate's monitors do) and use
 /// [`DriftAggregator::aggregate_compiled`].
 ///
 /// # Errors
@@ -118,127 +117,6 @@ pub fn drift_series(
     windows.iter().map(|w| aggregator.aggregate_compiled(&plan, w)).collect()
 }
 
-/// Default cap on a [`DriftMonitor`]'s retained drift history.
-pub const DEFAULT_HISTORY_CAP: usize = 4096;
-
-/// A streaming drift monitor: holds a reference profile, an alert
-/// threshold calibrated from the reference's self-violation, and a
-/// **bounded** history of observed window drifts (a monitor that runs for
-/// months must not grow without bound; see [`Self::with_history_cap`]).
-/// This is the deployment wrapper the paper's motivating scenarios
-/// (§1, §2) imply: "alert when the serving data stops conforming". For
-/// tuple-level ingest, sliding windows, change-point detection, and
-/// auto-resynthesis, use the `cc_monitor` crate's `OnlineMonitor`, which
-/// supersedes this type for online deployments.
-#[derive(Clone, Debug)]
-pub struct DriftMonitor {
-    profile: ConformanceProfile,
-    /// The serving plan, compiled once at calibration and reused by every
-    /// [`Self::observe`] — the monitor never re-resolves columns or
-    /// recompiles per window.
-    plan: CompiledProfile,
-    threshold: f64,
-    aggregator: DriftAggregator,
-    /// Retained drift ring, newest last, at most `history_cap` entries
-    /// (deque, so retiring the oldest entry is O(1), not a memmove).
-    history: VecDeque<f64>,
-    history_cap: usize,
-    /// Windows observed over the monitor's lifetime (≥ retained count).
-    observed: u64,
-}
-
-impl DriftMonitor {
-    /// Builds a monitor from a reference dataset: compiles the profile's
-    /// serving plan (once, cached for the monitor's lifetime), learns the
-    /// profile's self-violation, and sets the alert threshold to
-    /// `max(multiplier × self-violation, floor)`.
-    ///
-    /// # Errors
-    /// Fails when the reference lacks profile attributes (cannot happen
-    /// when the profile was learned from it).
-    pub fn calibrate(
-        profile: ConformanceProfile,
-        reference: &DataFrame,
-        aggregator: DriftAggregator,
-        multiplier: f64,
-        floor: f64,
-    ) -> Result<Self, ProfileError> {
-        let plan = CompiledProfile::compile(&profile);
-        let self_violation = aggregator.aggregate_compiled(&plan, reference)?;
-        Ok(DriftMonitor {
-            profile,
-            plan,
-            threshold: (multiplier * self_violation).max(floor),
-            aggregator,
-            history: VecDeque::new(),
-            history_cap: DEFAULT_HISTORY_CAP,
-            observed: 0,
-        })
-    }
-
-    /// Replaces the history cap (default [`DEFAULT_HISTORY_CAP`]); a
-    /// history already over the new cap is trimmed from the oldest end.
-    ///
-    /// # Panics
-    /// Panics when `cap` is zero.
-    pub fn with_history_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "with_history_cap: cap must be positive");
-        self.history_cap = cap;
-        while self.history.len() > cap {
-            self.history.pop_front();
-        }
-        self
-    }
-
-    /// Scores one window with the cached plan, records it (retiring the
-    /// oldest entry when the history ring is full), and reports whether
-    /// it breaches the alert threshold.
-    ///
-    /// # Errors
-    /// Fails when the window lacks profile attributes.
-    pub fn observe(&mut self, window: &DataFrame) -> Result<(f64, bool), ProfileError> {
-        let drift = self.aggregator.aggregate_compiled(&self.plan, window)?;
-        if self.history.len() == self.history_cap {
-            self.history.pop_front();
-        }
-        self.history.push_back(drift);
-        self.observed += 1;
-        Ok((drift, drift > self.threshold))
-    }
-
-    /// The calibrated alert threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The retained drift magnitudes, oldest first — at most
-    /// [`Self::history_len`] ≤ the cap; older windows have been retired.
-    pub fn history(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
-        self.history.iter().copied()
-    }
-
-    /// Retained history length (≤ the configured cap).
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Windows observed over the monitor's lifetime, including windows
-    /// whose drift has been retired from the bounded history.
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// The underlying profile.
-    pub fn profile(&self) -> &ConformanceProfile {
-        &self.profile
-    }
-
-    /// The cached serving plan.
-    pub fn plan(&self) -> &CompiledProfile {
-        &self.plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,44 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_alerts_on_breach() {
-        let train = line_frame(2.0, 1.0, 300);
-        let profile = synthesize(&train, &SynthOptions::default()).unwrap();
-        let mut monitor =
-            DriftMonitor::calibrate(profile, &train, DriftAggregator::Mean, 5.0, 0.02).unwrap();
-        let (d0, alert0) = monitor.observe(&line_frame(2.0, 1.0, 100)).unwrap();
-        assert!(!alert0, "no alert on in-distribution window, drift {d0}");
-        let (d1, alert1) = monitor.observe(&line_frame(5.0, 1.0, 100)).unwrap();
-        assert!(alert1, "alert on drifted window, drift {d1}");
-        assert_eq!(monitor.history().len(), 2);
-        assert_eq!(monitor.history_len(), 2);
-        assert!(monitor.threshold() >= 0.02);
-    }
-
-    #[test]
-    fn history_is_bounded_by_the_cap() {
-        let train = line_frame(2.0, 1.0, 300);
-        let profile = synthesize(&train, &SynthOptions::default()).unwrap();
-        let mut monitor =
-            DriftMonitor::calibrate(profile, &train, DriftAggregator::Mean, 5.0, 0.02)
-                .unwrap()
-                .with_history_cap(4);
-        let windows: Vec<DataFrame> =
-            (0..7).map(|k| line_frame(2.0 + k as f64 * 0.1, 1.0, 40)).collect();
-        let mut drifts = Vec::new();
-        for w in &windows {
-            drifts.push(monitor.observe(w).unwrap().0);
-        }
-        // Ring keeps the newest 4 in order; lifetime count keeps all 7.
-        assert_eq!(monitor.history_len(), 4);
-        assert_eq!(monitor.observed(), 7);
-        assert_eq!(monitor.history().collect::<Vec<_>>(), drifts[3..]);
-        // Shrinking the cap trims from the oldest end.
-        let monitor = monitor.with_history_cap(2);
-        assert_eq!(monitor.history().collect::<Vec<_>>(), drifts[5..]);
-    }
-
-    #[test]
     fn parallel_drift_identical_to_sequential() {
         let train = line_frame(2.0, 1.0, 500);
         let profile = synthesize(&train, &SynthOptions::default()).unwrap();
@@ -335,29 +175,6 @@ mod tests {
                 dataset_drift_parallel(&profile, &serve, DriftAggregator::Mean, threads).unwrap();
             assert_eq!(seq.to_bits(), par.to_bits(), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn monitor_compiles_once() {
-        let train = line_frame(2.0, 1.0, 300);
-        let profile = synthesize(&train, &SynthOptions::default()).unwrap();
-        let before = crate::compiled::thread_compile_count();
-        let mut monitor =
-            DriftMonitor::calibrate(profile, &train, DriftAggregator::Mean, 5.0, 0.02).unwrap();
-        assert_eq!(
-            crate::compiled::thread_compile_count(),
-            before + 1,
-            "calibrate compiles the plan exactly once"
-        );
-        for step in 0..5 {
-            monitor.observe(&line_frame(2.0 + step as f64 * 0.3, 1.0, 80)).unwrap();
-        }
-        assert_eq!(
-            crate::compiled::thread_compile_count(),
-            before + 1,
-            "observe must reuse the cached plan, not recompile per window"
-        );
-        assert_eq!(monitor.plan().attributes(), monitor.profile().numeric_attributes.as_slice());
     }
 
     #[test]

@@ -67,7 +67,8 @@
 //! **bit-identical** to the interpreted reference path
 //! ([`ConformanceProfile::violations_interpreted`]). Every serving
 //! surface (violations, drift, the safety envelope, ExTuNe) routes
-//! through it; long-lived monitors ([`DriftMonitor`]) cache the plan.
+//! through it; long-lived monitors (the `cc_monitor` crate's
+//! `OnlineMonitor`) cache the plan.
 //!
 //! ## Module map
 //!
@@ -78,7 +79,7 @@
 //! | [`compiled`] | §2, Fig. 11 (compiled serving engine: compile once, evaluate many) |
 //! | [`synth`] | §4.1 (Algorithm 1), §4.2 (compound constraints), §4.3.2 (sharded parallelism) |
 //! | [`streaming`] | §4.3.2 (one-pass / mergeable synthesis; block absorption for resynthesis) |
-//! | [`drift`] | §2, §6.2 (dataset-level drift, parallel evaluation, bounded-history [`DriftMonitor`]) |
+//! | [`drift`] | §2, §6.2 (dataset-level drift, parallel evaluation, windowed [`drift_series`]) |
 //! | [`tml`] | §5 (trusted machine learning, unsafe tuples) |
 //! | [`explain`] | Appendix K (ExTuNe responsibility, per-constraint breakdown) |
 //! | [`tree`] | §8 (decision-tree-guided constraints, future work) |
@@ -109,10 +110,7 @@ pub use compiled::{CompiledProfile, EVAL_BLOCK_ROWS};
 pub use constraint::{
     BoundedConstraint, ConformanceProfile, DisjunctiveConstraint, ProfileError, SimpleConstraint,
 };
-pub use drift::{
-    dataset_drift, dataset_drift_parallel, drift_series, DriftAggregator, DriftMonitor,
-    DEFAULT_HISTORY_CAP,
-};
+pub use drift::{dataset_drift, dataset_drift_parallel, drift_series, DriftAggregator};
 pub use explain::{
     breakdown_from_plan, mean_responsibility, mean_responsibility_from_plan, profile_breakdown,
     responsibility, top_k_desc, ConstraintContribution, Responsibility,

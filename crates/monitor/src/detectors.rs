@@ -2,8 +2,8 @@
 //!
 //! Three classical one-sided (upward — drift grows when data stops
 //! conforming) sequential detectors, each calibrated from a reference
-//! drift sample the way [`conformance::DriftMonitor::calibrate`]
-//! calibrates its threshold from the reference's self-violation:
+//! drift sample (the drift of reference windows against their own
+//! profile, see [`crate::OnlineMonitor::with_reference`]):
 //!
 //! * **EWMA control band** — smooth the series with
 //!   `z ← λ·x + (1−λ)·z` and alarm when `z` leaves the band

@@ -4,7 +4,7 @@
 //! pipelines* by measuring how far serving data drifts from the
 //! conformance constraints learned on training data (§1, §2; the ExTuNe
 //! deployment scenario). The core crate can score drift offline —
-//! [`conformance::DriftMonitor`] takes whole pre-cut frames — but a
+//! [`conformance::drift_series`] takes whole pre-cut frames — but a
 //! deployed trust layer watches a *live tuple stream*. This crate is that
 //! layer:
 //!
@@ -29,7 +29,7 @@
 //!   document why not);
 //! * **detectors** ([`detectors`]) — the drift series runs through an
 //!   EWMA control band, one-sided CUSUM, or Page–Hinkley, calibrated
-//!   from a reference window like [`conformance::DriftMonitor::calibrate`];
+//!   from a reference window (see [`OnlineMonitor::with_reference`]);
 //! * **resynth** ([`resynth`]) — sustained alarms synthesize a *candidate*
 //!   profile from the ring's recent blocks (via
 //!   [`conformance::StreamingSynthesizer::absorb_stats`]) and surface it

@@ -188,8 +188,7 @@ impl OnlineMonitor {
         })
     }
 
-    /// A monitor pre-calibrated from a reference dataset, the way
-    /// [`conformance::DriftMonitor::calibrate`] works: the reference is
+    /// A monitor pre-calibrated from a reference dataset: the reference is
     /// scored through the plan window-by-window (same geometry, same
     /// aggregator as live ingest) and the resulting drift sample becomes
     /// the detector baseline — the monitor is armed from row one. A

@@ -2,17 +2,14 @@
 //!
 //! Counters are plain atomics, bumped per request with relaxed ordering
 //! (exactness across concurrent scrapes is not a requirement; never
-//! losing increments is). Request latency lands in a
-//! [`cc_stats::Histogram`] over `log₁₀(seconds)` — log-spaced buckets
-//! span 10µs…10s with quarter-decade resolution, which equal-width bins
-//! over seconds could not do — rendered as a standard cumulative
-//! Prometheus histogram. The last bin is treated as the overflow bucket
-//! (`+Inf` only), so a pathological 30s request is never reported under a
-//! finite `le`.
+//! losing increments is). Latency has one store, the flight recorder's
+//! per-phase aggregates (`cc_trace`), which count every request whether
+//! or not span rings are on. They render as the
+//! `cc_server_phase_seconds` and `cc_monitor_phase_seconds` histogram
+//! families; a request's in-server time is its `handle` plus `write`
+//! phases.
 
-use cc_stats::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The fixed endpoint set, used to label request counters.
@@ -103,20 +100,6 @@ impl Endpoint {
     }
 }
 
-/// `log₁₀(seconds)` of the first latency bucket edge (10µs).
-const LAT_LOG_LO: f64 = -5.0;
-/// `log₁₀(seconds)` of the histogram ceiling (10s).
-const LAT_LOG_HI: f64 = 1.0;
-/// Latency bins: quarter-decade resolution across 6 decades.
-const LAT_BINS: usize = 24;
-
-/// Latency histogram plus the exact sum/count Prometheus expects.
-struct Latency {
-    hist: Histogram,
-    sum_seconds: f64,
-    count: u64,
-}
-
 /// One monitor's scrape-time series, collected from the monitor registry
 /// by the caller of [`Metrics::render_prometheus`] (the metrics object
 /// itself holds no monitor state — monitors own their counters).
@@ -151,7 +134,6 @@ pub struct Metrics {
     open_connections: AtomicU64,
     /// Connections waiting in the queue for a worker.
     compute_queue_depth: AtomicU64,
-    latency: Mutex<Latency>,
 }
 
 impl Default for Metrics {
@@ -171,26 +153,18 @@ impl Metrics {
             wire_requests: [AtomicU64::new(0), AtomicU64::new(0)],
             open_connections: AtomicU64::new(0),
             compute_queue_depth: AtomicU64::new(0),
-            latency: Mutex::new(Latency {
-                hist: Histogram::new(LAT_LOG_LO, LAT_LOG_HI, LAT_BINS),
-                sum_seconds: 0.0,
-                count: 0,
-            }),
         }
     }
 
-    /// Records one finished request.
-    pub fn record_request(&self, endpoint: Endpoint, status: u16, seconds: f64) {
+    /// Counts one finished request by endpoint and status class (its
+    /// latency goes to the flight recorder's phase aggregates).
+    pub fn record_request(&self, endpoint: Endpoint, status: u16) {
         let class = match status {
             200..=299 => 0,
             500..=599 => 2,
             _ => 1,
         };
         self.requests[endpoint.index()][class].fetch_add(1, Ordering::Relaxed);
-        let mut lat = self.latency.lock().expect("metrics lock never poisoned");
-        lat.hist.add(seconds.max(1e-9).log10());
-        lat.sum_seconds += seconds;
-        lat.count += 1;
     }
 
     /// Adds to the cumulative count of rows scored through `/v1/check` /
@@ -295,29 +269,6 @@ impl Metrics {
                     ));
                 }
             }
-        }
-        {
-            let lat = self.latency.lock().expect("metrics lock never poisoned");
-            out.push_str("# HELP cc_server_request_duration_seconds Request latency.\n");
-            out.push_str("# TYPE cc_server_request_duration_seconds histogram\n");
-            let counts = lat.hist.counts();
-            let width = (LAT_LOG_HI - LAT_LOG_LO) / LAT_BINS as f64;
-            let mut cumulative = 0u64;
-            // The final bin is the overflow bucket: everything at or past
-            // the last finite edge reports only under `+Inf`.
-            for (i, &c) in counts.iter().enumerate().take(LAT_BINS - 1) {
-                cumulative += c;
-                let le = 10f64.powf(LAT_LOG_LO + width * (i + 1) as f64);
-                out.push_str(&format!(
-                    "cc_server_request_duration_seconds_bucket{{le=\"{le:.6}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "cc_server_request_duration_seconds_bucket{{le=\"+Inf\"}} {}\n",
-                lat.count
-            ));
-            out.push_str(&format!("cc_server_request_duration_seconds_sum {}\n", lat.sum_seconds));
-            out.push_str(&format!("cc_server_request_duration_seconds_count {}\n", lat.count));
         }
         out.push_str(
             "# HELP cc_server_rows_checked_total Tuples scored through the serving endpoints.\n",
@@ -496,9 +447,9 @@ mod tests {
     #[test]
     fn exposition_shape() {
         let m = Metrics::new();
-        m.record_request(Endpoint::Check, 200, 0.004);
-        m.record_request(Endpoint::Check, 404, 0.0001);
-        m.record_request(Endpoint::Metrics, 200, 30.0); // overflow bucket
+        m.record_request(Endpoint::Check, 200);
+        m.record_request(Endpoint::Check, 404);
+        m.record_request(Endpoint::Metrics, 200);
         m.add_rows_checked(1234);
         m.record_connection();
         let text = m.render_prometheus(2, 3, &[("alpha".into(), 2)], &[]);
@@ -509,21 +460,13 @@ mod tests {
         assert!(text.contains("cc_server_profile_compiles_total{profile=\"alpha\"} 2"));
         assert!(text.contains("cc_server_profiles 2"));
         assert!(text.contains("cc_server_registry_generation 3"));
-        assert!(text.contains("cc_server_request_duration_seconds_count 3"));
-        assert!(text.contains("cc_server_request_duration_seconds_bucket{le=\"+Inf\"} 3"));
-        // Cumulative buckets are monotone and the 30s outlier only shows
-        // under +Inf: the largest finite bucket holds 2.
-        let last_finite = text
-            .lines()
-            .rfind(|l| l.starts_with("cc_server_request_duration_seconds_bucket{le=\"1"))
-            .unwrap();
-        assert!(last_finite.ends_with(" 2"), "{last_finite}");
+        assert!(!text.contains("cc_server_request_duration_seconds"), "{text}");
     }
 
     #[test]
     fn wire_request_series() {
         let m = Metrics::new();
-        m.record_request(Endpoint::Check, 200, 0.001);
+        m.record_request(Endpoint::Check, 200);
         m.record_wire(false);
         m.record_wire(true);
         m.record_wire(true);
@@ -602,10 +545,10 @@ mod tests {
     #[test]
     fn request_class_totals_sum_across_endpoints() {
         let m = Metrics::new();
-        m.record_request(Endpoint::Check, 200, 0.001);
-        m.record_request(Endpoint::Logs, 200, 0.001);
-        m.record_request(Endpoint::SelfReport, 404, 0.001);
-        m.record_request(Endpoint::Ingest, 500, 0.001);
+        m.record_request(Endpoint::Check, 200);
+        m.record_request(Endpoint::Logs, 200);
+        m.record_request(Endpoint::SelfReport, 404);
+        m.record_request(Endpoint::Ingest, 500);
         assert_eq!(m.request_class_totals(), (2, 1, 1));
         let text = m.render_prometheus(0, 0, &[], &[]);
         assert!(text.contains("cc_server_requests_total{endpoint=\"/v1/logs\",code=\"2xx\"} 1"));
@@ -616,7 +559,7 @@ mod tests {
     fn status_classes() {
         let m = Metrics::new();
         for status in [200, 204, 400, 404, 431, 500, 503] {
-            m.record_request(Endpoint::Other, status, 0.001);
+            m.record_request(Endpoint::Other, status);
         }
         let text = m.render_prometheus(0, 0, &[], &[]);
         assert!(text.contains("endpoint=\"other\",code=\"2xx\"} 2"));

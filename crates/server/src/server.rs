@@ -78,10 +78,12 @@ pub struct ServerConfig {
     /// default — saves only on demand and at shutdown).
     pub autosave: Option<Duration>,
     /// Flight-recorder ring capacity per thread (`--trace-buffer`).
-    /// `0` disables request tracing for this server: no spans, no trace
-    /// id generation, and responses are byte-identical to a build without
-    /// the recorder. The recorder itself is process-global; this knob
-    /// gates whether *this server's* request path feeds it.
+    /// `0` disables request tracing for this server: no spans in the
+    /// rings, no trace id generation, and responses are byte-identical to
+    /// a build without the recorder. The per-phase latency aggregates
+    /// (`cc_server_phase_seconds`, self-watch) count every request either
+    /// way. The recorder itself is process-global; this knob gates
+    /// whether *this server's* requests carry trace ids.
     pub trace_buffer: usize,
     /// Minimum structured-log level. [`Level::Off`] silences the logger
     /// entirely (ring included); request completions log at `debug`
@@ -500,7 +502,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     // Shed load with an answer, not a silent hang.
                     let _ = stream
                         .write_all(&Response::error(503, "server is at capacity").serialize(false));
-                    shared.metrics.record_request(Endpoint::Other, 503, 0.0);
+                    shared.metrics.record_request(Endpoint::Other, 503);
                     shared.metrics.connection_closed();
                     shared.logger.warn(0, "", "accept queue full; connection shed with 503");
                     continue;
@@ -659,23 +661,19 @@ fn drive_connection(parked: Parked, shared: &Shared) -> bool {
             Ok(Some(req)) => {
                 request_started = None;
                 let trace = tracing.then(|| trace_ctx(&req));
+                let trace_id = trace.as_ref().map_or(0, |t| t.id);
                 let started = Instant::now();
                 let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-                let trace_id = trace.as_ref().map_or(0, |t| t.id);
                 let (endpoint, mut response) = execute(&req, shared, trace_id);
                 let handle_dur = started.elapsed();
-                if let Some(ctx) = &trace {
-                    response.set_header(TRACE_HEADER, ctx.echo.clone());
+                if let Some(ctx) = trace {
+                    response.set_header(TRACE_HEADER, ctx.echo);
                 }
                 let keep_alive = !req.close && !shutting_down;
                 let payload = response.serialize(keep_alive);
                 let write_started = Instant::now();
                 let ok = stream.write_all(&payload).is_ok();
-                shared.metrics.record_request(
-                    endpoint,
-                    response.status,
-                    started.elapsed().as_secs_f64(),
-                );
+                shared.metrics.record_request(endpoint, response.status);
                 shared.log_request(
                     trace_id,
                     endpoint,
@@ -684,28 +682,28 @@ fn drive_connection(parked: Parked, shared: &Shared) -> bool {
                     response.status,
                     started.elapsed(),
                 );
-                if let Some(ctx) = &trace {
-                    let tag = endpoint.label();
-                    let (qw_start, qw_dur) = queue_wait.take().unwrap_or((started, Duration::ZERO));
-                    cc_trace::record(
-                        cc_trace::Phase::Parse,
-                        ctx.id,
-                        tag,
-                        req.body.len() as u64,
-                        parse_started,
-                        parse_spent,
-                    );
-                    cc_trace::record(cc_trace::Phase::QueueWait, ctx.id, tag, 0, qw_start, qw_dur);
-                    cc_trace::record(cc_trace::Phase::Handle, ctx.id, tag, 0, started, handle_dur);
-                    cc_trace::record(
-                        cc_trace::Phase::Write,
-                        ctx.id,
-                        tag,
-                        payload.len() as u64,
-                        write_started,
-                        write_started.elapsed(),
-                    );
-                }
+                // Every request feeds the phase aggregates; trace id 0
+                // (tracing off) keeps the spans out of the rings.
+                let tag = endpoint.label();
+                let (qw_start, qw_dur) = queue_wait.take().unwrap_or((started, Duration::ZERO));
+                cc_trace::record(
+                    cc_trace::Phase::Parse,
+                    trace_id,
+                    tag,
+                    req.body.len() as u64,
+                    parse_started,
+                    parse_spent,
+                );
+                cc_trace::record(cc_trace::Phase::QueueWait, trace_id, tag, 0, qw_start, qw_dur);
+                cc_trace::record(cc_trace::Phase::Handle, trace_id, tag, 0, started, handle_dur);
+                cc_trace::record(
+                    cc_trace::Phase::Write,
+                    trace_id,
+                    tag,
+                    payload.len() as u64,
+                    write_started,
+                    write_started.elapsed(),
+                );
                 parse_spent = Duration::ZERO;
                 if !keep_alive || !ok {
                     return true;
@@ -740,7 +738,7 @@ fn drive_connection(parked: Parked, shared: &Shared) -> bool {
                             &Response::error(408, "request took too long to arrive")
                                 .serialize(false),
                         );
-                        shared.metrics.record_request(Endpoint::Other, 408, 0.0);
+                        shared.metrics.record_request(Endpoint::Other, 408);
                         shared.logger.warn(0, "", "request deadline exceeded; answered 408");
                         return true;
                     }
@@ -750,7 +748,7 @@ fn drive_connection(parked: Parked, shared: &Shared) -> bool {
             Err(e) => {
                 // Terminal framing error: report and close.
                 let _ = stream.write_all(&Response::error(e.status(), e.reason()).serialize(false));
-                shared.metrics.record_request(Endpoint::Other, e.status(), 0.0);
+                shared.metrics.record_request(Endpoint::Other, e.status());
                 shared.logger.warn(
                     0,
                     "",

@@ -15,9 +15,11 @@
 //! deterministic and mergeable, which is what a fleet coordinator needs.
 //!
 //! The recorder is process-global: capacity is set once via
-//! [`set_buffer`] (`0` disables recording entirely; the hot path then
-//! costs a single relaxed atomic load). Callers that need finer scoping
-//! (e.g. one server instance traced, another not) gate at the call site.
+//! [`set_buffer`]. The aggregates count every [`record`] call whatever
+//! the capacity, so they are the process's one latency store; only the
+//! rings are optional. `0` turns the rings off, and a span with trace id
+//! `0` never enters a ring either, which is how a caller that is not
+//! traced (e.g. one server instance of two) still feeds the aggregates.
 
 use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
@@ -343,9 +345,9 @@ thread_local! {
     static RING: RefCell<Option<(u64, Arc<SpanRing>)>> = const { RefCell::new(None) };
 }
 
-/// Set the per-thread ring capacity. `0` disables recording entirely.
-/// Existing rings are retired lazily (each thread swaps to a new ring on
-/// its next recorded span).
+/// Set the per-thread ring capacity. `0` turns the span rings off; the
+/// per-phase aggregates keep counting. Existing rings are retired
+/// lazily (each thread swaps to a new ring on its next recorded span).
 pub fn set_buffer(capacity: usize) {
     let prev = CAPACITY.swap(capacity, Ordering::Relaxed);
     if prev != capacity {
@@ -353,12 +355,12 @@ pub fn set_buffer(capacity: usize) {
     }
 }
 
-/// Current per-thread ring capacity (`0` = disabled).
+/// Current per-thread ring capacity (`0` = rings off).
 pub fn buffer_capacity() -> usize {
     CAPACITY.load(Ordering::Relaxed)
 }
 
-/// Whether the recorder accepts spans at all.
+/// Whether spans are kept in the rings (the aggregates always count).
 pub fn enabled() -> bool {
     buffer_capacity() > 0
 }
@@ -396,13 +398,15 @@ fn with_ring(f: impl FnOnce(&SpanRing)) {
 
 /// Record a span with an explicit start instant and duration.
 ///
-/// No-op (one relaxed atomic load) when the recorder is disabled.
+/// Always adds to `phase`'s aggregate. The span also enters this
+/// thread's ring when the rings are [`enabled`] and `trace_id` is not
+/// `0` (ids from [`gen_id`] and [`parse_id`] never are).
 pub fn record(phase: Phase, trace_id: u64, tag: &str, extra: u64, start: Instant, dur: Duration) {
-    if !enabled() {
-        return;
-    }
     let dur_us = dur.as_micros().min(u64::MAX as u128) as u64;
     tally(phase, dur_us);
+    if trace_id == 0 || !enabled() {
+        return;
+    }
     let start_us = instant_us(start);
     with_ring(|ring| ring.push(phase, trace_id, tag, extra, start_us, dur_us));
 }
@@ -639,6 +643,30 @@ mod tests {
         assert_eq!(d[0].sum_us, 20);
         // Handle had no earlier entry: passes through.
         assert_eq!(d[1].count, 3);
+    }
+
+    #[test]
+    fn untraced_and_ringless_records_still_tally() {
+        // No other test records `Serialize`, so its cell and spans move
+        // only here.
+        let serialize_spans =
+            || snapshot(usize::MAX).iter().filter(|s| s.phase == Phase::Serialize).count();
+        let before = phase_total(Phase::Serialize);
+        let at = Instant::now();
+        record(Phase::Serialize, 0, "untraced", 0, at, Duration::from_micros(40));
+        assert_eq!(phase_total(Phase::Serialize).count, before.count + 1);
+        assert_eq!(serialize_spans(), 0, "trace id 0 must not enter a ring");
+        set_buffer(0);
+        record(Phase::Serialize, 9, "ringless", 0, at, Duration::from_micros(60));
+        set_buffer(DEFAULT_BUFFER);
+        let after = phase_total(Phase::Serialize);
+        assert_eq!(after.count, before.count + 2);
+        assert_eq!(after.sum_us, before.sum_us + 100);
+        assert_eq!(serialize_spans(), 0, "capacity 0 must not fill a ring");
+        // Control: a traced record with rings on is kept.
+        record(Phase::Serialize, 9, "traced", 0, at, Duration::from_micros(1));
+        assert_eq!(phase_total(Phase::Serialize).count, before.count + 3);
+        assert_eq!(serialize_spans(), 1);
     }
 
     #[test]

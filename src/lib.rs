@@ -69,7 +69,7 @@ pub mod prelude {
     pub use cc_monitor::{DetectorKind, MonitorConfig, OnlineMonitor, WindowSpec};
     pub use conformance::{
         dataset_drift, dataset_drift_parallel, synthesize, synthesize_parallel, synthesize_simple,
-        CompiledProfile, ConformanceProfile, DriftAggregator, DriftMonitor, Projection,
-        SafetyEnvelope, SimpleConstraint, StreamingSynthesizer, SynthOptions,
+        CompiledProfile, ConformanceProfile, DriftAggregator, Projection, SafetyEnvelope,
+        SimpleConstraint, StreamingSynthesizer, SynthOptions,
     };
 }

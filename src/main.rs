@@ -133,7 +133,8 @@ Batch endpoints also speak the binary columnar wire format
                       POST /v1/snapshot
   --autosave-secs <n> also snapshot every n seconds (requires --state-dir)
   --trace-buffer <n>  per-thread flight-recorder capacity in spans
-                      (default 4096; 0 disables tracing entirely)
+                      (default 4096; 0 turns span rings and trace ids
+                      off; per-phase latency metrics still count)
   --log-level <l>     structured-log threshold: debug, info (default),
                       warn, error, off; queryable via GET /v1/logs
   --log-file <f>      append JSON log lines to f instead of stderr
@@ -856,7 +857,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         );
     }
     if trace_buffer == 0 {
-        println!("tracing: disabled (--trace-buffer 0)");
+        println!("tracing: span rings off (--trace-buffer 0); phase latency metrics still count");
     } else {
         println!("tracing: {trace_buffer}-span rings (GET /v1/trace, `ccsynth trace`)");
     }
@@ -896,6 +897,48 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// GETs `targets` in order, over one keep-alive connection, from the
+/// daemon at `url` (`host:port` or an `http://` URL); the remote
+/// commands `trace`, `ops` and `fleet` read through it. Any reply other
+/// than `200` is an error.
+fn remote_get<const N: usize>(
+    url: &str,
+    targets: [&str; N],
+) -> Result<[ccsynth::server::ClientResponse; N], CliError> {
+    use std::net::ToSocketAddrs;
+    let hostport = url.strip_prefix("http://").unwrap_or(url).trim_end_matches('/');
+    let addr = hostport
+        .to_socket_addrs()
+        .ok()
+        .and_then(|mut a| a.next())
+        .ok_or_else(|| CliError::Runtime(format!("cannot resolve '{hostport}'")))?;
+    let mut client = ccsynth::server::HttpClient::connect(addr)
+        .map_err(|e| CliError::Runtime(format!("cannot connect to {hostport}: {e}")))?;
+    let mut replies = Vec::with_capacity(N);
+    for target in targets {
+        let resp = client
+            .get(target)
+            .map_err(|e| CliError::Runtime(format!("request to {hostport} failed: {e}")))?;
+        if resp.status != 200 {
+            return Err(CliError::Runtime(format!(
+                "GET {target} answered {}: {}",
+                resp.status,
+                resp.text().trim()
+            )));
+        }
+        replies.push(resp);
+    }
+    Ok(replies.try_into().unwrap_or_else(|_| unreachable!("one reply per target")))
+}
+
+/// A [`remote_get`] reply body as JSON; `what` names it in the error.
+fn reply_json(
+    resp: &ccsynth::server::ClientResponse,
+    what: &str,
+) -> Result<serde_json::Value, CliError> {
+    resp.json().map_err(|e| CliError::Runtime(format!("malformed {what} body: {e}")))
+}
+
 /// `ccsynth trace <host:port>`: fetch `GET /v1/trace` from a running
 /// daemon and render the slowest-requests table (per-phase breakdown)
 /// plus a per-phase summary of the recent spans.
@@ -912,13 +955,6 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     let [url] = p.positionals() else {
         return Err(CliError::Usage("trace needs exactly one <host:port> (or http:// url)".into()));
     };
-    let hostport = url.strip_prefix("http://").unwrap_or(url).trim_end_matches('/');
-    use std::net::ToSocketAddrs;
-    let addr = hostport
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut a| a.next())
-        .ok_or_else(|| CliError::Runtime(format!("cannot resolve '{hostport}'")))?;
     let mut query: Vec<String> = Vec::new();
     if let Some(v) = p.value("--endpoint") {
         query.push(format!("endpoint={v}"));
@@ -944,19 +980,8 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     } else {
         format!("/v1/trace?{}", query.join("&"))
     };
-    let mut client = ccsynth::server::HttpClient::connect(addr)
-        .map_err(|e| CliError::Runtime(format!("cannot connect to {hostport}: {e}")))?;
-    let resp = client
-        .get(&target)
-        .map_err(|e| CliError::Runtime(format!("request to {hostport} failed: {e}")))?;
-    if resp.status != 200 {
-        return Err(CliError::Runtime(format!(
-            "GET {target} answered {}: {}",
-            resp.status,
-            resp.text().trim()
-        )));
-    }
-    let v = resp.json().map_err(|e| CliError::Runtime(format!("malformed /v1/trace body: {e}")))?;
+    let [resp] = remote_get(url, [target.as_str()])?;
+    let v = reply_json(&resp, "/v1/trace")?;
     if p.has("--json") {
         println!(
             "{}",
@@ -1044,35 +1069,12 @@ fn cmd_ops(args: &[String]) -> Result<(), CliError> {
     let [url] = p.positionals() else {
         return Err(CliError::Usage("ops needs exactly one <host:port> (or http:// url)".into()));
     };
-    let hostport = url.strip_prefix("http://").unwrap_or(url).trim_end_matches('/');
-    use std::net::ToSocketAddrs;
-    let addr = hostport
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut a| a.next())
-        .ok_or_else(|| CliError::Runtime(format!("cannot resolve '{hostport}'")))?;
-    let mut client = ccsynth::server::HttpClient::connect(addr)
-        .map_err(|e| CliError::Runtime(format!("cannot connect to {hostport}: {e}")))?;
-    let mut fetch = |target: &str| -> Result<serde_json::Value, CliError> {
-        let resp = client
-            .get(target)
-            .map_err(|e| CliError::Runtime(format!("request to {hostport} failed: {e}")))?;
-        if resp.status != 200 {
-            return Err(CliError::Runtime(format!(
-                "GET {target} answered {}: {}",
-                resp.status,
-                resp.text().trim()
-            )));
-        }
-        resp.json().map_err(|e| CliError::Runtime(format!("malformed {target} body: {e}")))
-    };
-    let health = fetch("/healthz")?;
-    let selfv = fetch("/v1/self")?;
-    let trace = fetch("/v1/trace?top=5")?;
-    let metrics_resp = client
-        .get("/metrics")
-        .map_err(|e| CliError::Runtime(format!("request to {hostport} failed: {e}")))?;
-    let metrics_text = metrics_resp.text();
+    let [health, selfv, trace, metrics] =
+        remote_get(url, ["/healthz", "/v1/self", "/v1/trace?top=5", "/metrics"])?;
+    let health = reply_json(&health, "/healthz")?;
+    let selfv = reply_json(&selfv, "/v1/self")?;
+    let trace = reply_json(&trace, "/v1/trace?top=5")?;
+    let metrics_text = metrics.text();
     // Single-value series we surface from the Prometheus exposition.
     let gauge = |name: &str| -> Option<f64> {
         metrics_text.lines().find_map(|l| {
@@ -1200,28 +1202,8 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
     let [url] = p.positionals() else {
         return Err(CliError::Usage("fleet needs exactly one <host:port> (or http:// url)".into()));
     };
-    let hostport = url.strip_prefix("http://").unwrap_or(url).trim_end_matches('/');
-    use std::net::ToSocketAddrs;
-    let addr = hostport
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut a| a.next())
-        .ok_or_else(|| CliError::Runtime(format!("cannot resolve '{hostport}'")))?;
-    let mut client = ccsynth::server::HttpClient::connect(addr)
-        .map_err(|e| CliError::Runtime(format!("cannot connect to {hostport}: {e}")))?;
-    let resp = client
-        .get("/v2/fleet/shards")
-        .map_err(|e| CliError::Runtime(format!("request to {hostport} failed: {e}")))?;
-    if resp.status != 200 {
-        return Err(CliError::Runtime(format!(
-            "GET /v2/fleet/shards answered {}: {}",
-            resp.status,
-            resp.text().trim()
-        )));
-    }
-    let v = resp
-        .json()
-        .map_err(|e| CliError::Runtime(format!("malformed /v2/fleet/shards body: {e}")))?;
+    let [resp] = remote_get(url, ["/v2/fleet/shards"])?;
+    let v = reply_json(&resp, "/v2/fleet/shards")?;
     if p.has("--json") {
         println!(
             "{}",
