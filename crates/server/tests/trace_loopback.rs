@@ -247,6 +247,7 @@ fn observability_satellites_over_loopback() {
         "cc_server_phase_seconds_bucket{phase=\"handle\"",
         "cc_server_phase_seconds_count{phase=\"parse\"",
         "cc_monitor_phase_seconds_bucket{phase=\"score\"",
+        "cc_monitor_phase_seconds_count{phase=\"score\"",
         "cc_server_build_info{version=",
     ] {
         assert!(text.contains(needle), "metrics exposition lacks {needle}");

@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release --example activity_drift`
 
-use ccsynth::baselines::WPca;
-use ccsynth::datagen::{har, HarConfig};
+use cc_baselines::WPca;
+use cc_datagen::{har, HarConfig};
 use ccsynth::prelude::*;
 
 fn main() {

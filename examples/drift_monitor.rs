@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example drift_monitor -- UG-2C-2D`
 
-use ccsynth::datagen::{evl_dataset, EVL_NAMES};
+use cc_datagen::{evl_dataset, EVL_NAMES};
 use ccsynth::prelude::*;
 
 fn main() {

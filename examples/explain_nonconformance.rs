@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example explain_nonconformance`
 
+use cc_datagen::tabular::cardio;
 use ccsynth::conformance::explain::mean_responsibility;
-use ccsynth::datagen::tabular::cardio;
 use ccsynth::prelude::*;
 
 fn main() {

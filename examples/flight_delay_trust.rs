@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example flight_delay_trust`
 
-use ccsynth::datagen::{airlines, AirlinesConfig, FlightKind};
-use ccsynth::models::{mae, LinearRegression};
+use cc_datagen::{airlines, AirlinesConfig, FlightKind};
+use cc_models::{mae, LinearRegression};
 use ccsynth::prelude::*;
 
 fn regression_io(df: &DataFrame) -> (Vec<Vec<f64>>, Vec<f64>) {

@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example sql_guard`
 
+use cc_datagen::{airlines, AirlinesConfig, FlightKind};
 use ccsynth::conformance::profile_to_sql;
-use ccsynth::datagen::{airlines, AirlinesConfig, FlightKind};
 use ccsynth::prelude::*;
 
 fn main() {

@@ -4,18 +4,16 @@
 //! *"Conformance Constraint Discovery: Measuring Trust in Data-Driven
 //! Systems"* (Fariha, Tiwari, Radhakrishna, Gulwani, Meliou — SIGMOD 2021).
 //!
-//! Re-exports the whole workspace so downstream users need a single
-//! dependency:
+//! Re-exports the product crates so downstream users need a single
+//! dependency (the paper-reproduction crates `cc_datagen`, `cc_models`,
+//! `cc_baselines` and `cc_stats` are not part of it):
 //!
 //! * [`conformance`] — the core: constraint language, quantitative
 //!   semantics, PCA-based synthesis, the compiled serving engine
 //!   (`CompiledProfile`: compile once, evaluate many), drift, trusted-ML,
 //!   explanations;
 //! * [`frame`] — the minimal dataframe the stack operates on;
-//! * [`linalg`] / [`stats`] — numeric substrates;
-//! * [`models`] — regression/classification models for the TML experiments;
-//! * [`baselines`] — PCA-SPLL, CD-MKL/CD-Area, W-PCA drift baselines;
-//! * [`datagen`] — synthetic versions of every dataset in the paper;
+//! * [`linalg`] — the numeric substrate;
 //! * [`monitor`] — online windowed conformance monitoring: streaming
 //!   ingest over tumbling/sliding windows, EWMA/CUSUM/Page–Hinkley
 //!   change-point detection on the drift series, auto-resynthesis
@@ -50,15 +48,11 @@
 
 pub mod cli;
 
-pub use cc_baselines as baselines;
-pub use cc_datagen as datagen;
 pub use cc_frame as frame;
 pub use cc_linalg as linalg;
-pub use cc_models as models;
 pub use cc_monitor as monitor;
 pub use cc_server as server;
 pub use cc_state as state;
-pub use cc_stats as stats;
 pub use cc_trace as trace;
 pub use conformance;
 

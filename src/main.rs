@@ -18,7 +18,7 @@
 //! without ever re-synthesizing. `check`/`drift` also accept the profile
 //! as a leading positional (`ccsynth check <profile.json> <data.csv>`),
 //! the original spelling. `serve` starts the `cc_server` daemon over a
-//! directory of profiles and hot-reloads them on `POST /v1/reload`.
+//! directory of profiles and hot-reloads them on `POST /v2/profiles/reload`.
 //!
 //! Every subcommand takes `--help` (exit 0); usage errors exit 2;
 //! runtime failures (missing files, malformed data) exit 1.
@@ -130,18 +130,18 @@ Batch endpoints also speak the binary columnar wire format
   --max-body-mb <n>   request body limit in MiB (default 32)
   --state-dir <d>     durable state: restore on boot (corrupt snapshots
                       quarantined), snapshot on shutdown and on
-                      POST /v1/snapshot
+                      POST /v2/snapshot
   --autosave-secs <n> also snapshot every n seconds (requires --state-dir)
   --trace-buffer <n>  per-thread flight-recorder capacity in spans
                       (default 4096; 0 turns span rings and trace ids
                       off; per-phase latency metrics still count)
   --log-level <l>     structured-log threshold: debug, info (default),
-                      warn, error, off; queryable via GET /v1/logs
+                      warn, error, off; queryable via GET /v2/logs
   --log-file <f>      append JSON log lines to f instead of stderr
   --self-watch <m>    meta-monitor sampling interval in ms (default
                       1000), or 'off'; the server folds its own
                       latency/error/queue telemetry into the reserved
-                      '__self' monitor and reports via GET /v1/self
+                      '__self' monitor and reports via GET /v2/self
   --role <r>          fleet role: standalone (default), shard (export
                       closed windows as deltas via
                       GET /v2/monitors/{name}/deltas), or coordinator
@@ -155,21 +155,22 @@ Batch endpoints also speak the binary columnar wire format
         }
         "trace" => {
             "usage: ccsynth trace <host:port> [--top <k>] [--min-us <n>] [--endpoint <e>] [--monitor <m>] [--limit <n>] [--json]\n
-Fetches GET /v1/trace from a running daemon and prints the slowest
+Fetches GET /v2/trace from a running daemon and prints the slowest
 requests (with per-phase breakdown) plus a summary of recent spans.
 Trace ids propagate via the X-Ccsynth-Trace request header and are
 echoed on every traced response.
   --top <k>       slowest-request rows to show (default 10)
   --min-us <n>    only spans at least n microseconds long
-  --endpoint <e>  only server spans for one endpoint (e.g. /v1/check)
+  --endpoint <e>  only server spans for one endpoint label (e.g.
+                  /v1/check, which /v2/check requests carry too)
   --monitor <m>   only ingest-pipeline spans for one monitor
   --limit <n>     span-list length to request (default 256)
-  --json          dump the raw /v1/trace JSON instead of tables"
+  --json          dump the raw /v2/trace JSON instead of tables"
         }
         "ops" => {
             "usage: ccsynth ops <host:port> [--json]\n
 One-stop operational report for a running daemon: joins GET /healthz,
-/v1/self, /metrics, and /v1/trace into a single health + self-watch +
+/v2/self, /metrics, and /v2/trace into a single health + self-watch +
 throughput + latency summary.
   --json          dump the joined JSON instead of the report"
         }
@@ -859,15 +860,15 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if trace_buffer == 0 {
         println!("tracing: span rings off (--trace-buffer 0); phase latency metrics still count");
     } else {
-        println!("tracing: {trace_buffer}-span rings (GET /v1/trace, `ccsynth trace`)");
+        println!("tracing: {trace_buffer}-span rings (GET /v2/trace, `ccsynth trace`)");
     }
     println!(
-        "logging: level {} -> {} (GET /v1/logs)",
+        "logging: level {} -> {} (GET /v2/logs)",
         log_level.name(),
         p.value("--log-file").unwrap_or("stderr")
     );
     match self_watch_ms {
-        Some(ms) => println!("self-watch: sampling every {ms}ms into '__self' (GET /v1/self)"),
+        Some(ms) => println!("self-watch: sampling every {ms}ms into '__self' (GET /v2/self)"),
         None => println!("self-watch: disabled (--self-watch off)"),
     }
     match handle.fleet().role() {
@@ -939,7 +940,7 @@ fn reply_json(
     resp.json().map_err(|e| CliError::Runtime(format!("malformed {what} body: {e}")))
 }
 
-/// `ccsynth trace <host:port>`: fetch `GET /v1/trace` from a running
+/// `ccsynth trace <host:port>`: fetch `GET /v2/trace` from a running
 /// daemon and render the slowest-requests table (per-phase breakdown)
 /// plus a per-phase summary of the recent spans.
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
@@ -976,12 +977,12 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         query.push(format!("limit={}", p.count_or("--limit", 256)?));
     }
     let target = if query.is_empty() {
-        "/v1/trace".to_owned()
+        "/v2/trace".to_owned()
     } else {
-        format!("/v1/trace?{}", query.join("&"))
+        format!("/v2/trace?{}", query.join("&"))
     };
     let [resp] = remote_get(url, [target.as_str()])?;
-    let v = reply_json(&resp, "/v1/trace")?;
+    let v = reply_json(&resp, "/v2/trace")?;
     if p.has("--json") {
         println!(
             "{}",
@@ -1060,7 +1061,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `ccsynth ops <host:port>`: one-stop operational report — joins
-/// `GET /healthz`, `/v1/self`, `/metrics`, and `/v1/trace` from a
+/// `GET /healthz`, `/v2/self`, `/metrics`, and `/v2/trace` from a
 /// running daemon into a single health + self-watch + throughput +
 /// latency summary.
 fn cmd_ops(args: &[String]) -> Result<(), CliError> {
@@ -1070,10 +1071,10 @@ fn cmd_ops(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::Usage("ops needs exactly one <host:port> (or http:// url)".into()));
     };
     let [health, selfv, trace, metrics] =
-        remote_get(url, ["/healthz", "/v1/self", "/v1/trace?top=5", "/metrics"])?;
+        remote_get(url, ["/healthz", "/v2/self", "/v2/trace?top=5", "/metrics"])?;
     let health = reply_json(&health, "/healthz")?;
-    let selfv = reply_json(&selfv, "/v1/self")?;
-    let trace = reply_json(&trace, "/v1/trace?top=5")?;
+    let selfv = reply_json(&selfv, "/v2/self")?;
+    let trace = reply_json(&trace, "/v2/trace?top=5")?;
     let metrics_text = metrics.text();
     // Single-value series we surface from the Prometheus exposition.
     let gauge = |name: &str| -> Option<f64> {

@@ -2,8 +2,8 @@
 //! Fig. 4, in miniature — generator → synthesis → regression → the
 //! violation/error correspondence.
 
-use ccsynth::datagen::{airlines, AirlinesConfig, FlightKind};
-use ccsynth::models::{mae, LinearRegression};
+use cc_datagen::{airlines, AirlinesConfig, FlightKind};
+use cc_models::{mae, LinearRegression};
 use ccsynth::prelude::*;
 
 fn regression_io(df: &DataFrame) -> (Vec<Vec<f64>>, Vec<f64>) {

@@ -3,8 +3,8 @@
 //! [`SufficientStats`] — on the paper's synthetic datasets (cc_datagen
 //! tabular + HAR), not just toy rows.
 
-use ccsynth::datagen::har::{har, HarConfig};
-use ccsynth::datagen::tabular::cardio;
+use cc_datagen::har::{har, HarConfig};
+use cc_datagen::tabular::cardio;
 use ccsynth::frame::DataFrame;
 use ccsynth::linalg::SufficientStats;
 use ccsynth::prelude::*;

@@ -2,10 +2,10 @@
 //! Fig. 8) — CCSynth's drift curve must track each stream's ground truth,
 //! including the purely-local 4CR rotation where global methods stay flat.
 
-use ccsynth::baselines::{CdDivergence, ChangeDetection, PcaSpll};
-use ccsynth::datagen::{evl_dataset, EVL_NAMES};
+use cc_baselines::{CdDivergence, ChangeDetection, PcaSpll};
+use cc_datagen::{evl_dataset, EVL_NAMES};
+use cc_stats::{min_max_normalize, pcc};
 use ccsynth::prelude::*;
-use ccsynth::stats::{min_max_normalize, pcc};
 
 fn cc_series(name: &str) -> (Vec<f64>, Vec<f64>) {
     let ds = evl_dataset(name, 9, 200, 5).unwrap();
@@ -44,7 +44,7 @@ fn local_drift_4cr_defeats_global_baselines() {
     // CD on the union distribution: barely moves at the quarter turn.
     let cd = ChangeDetection::fit(
         reference,
-        &ccsynth::baselines::cd::CdOptions { divergence: CdDivergence::Area, ..Default::default() },
+        &cc_baselines::cd::CdOptions { divergence: CdDivergence::Area, ..Default::default() },
     )
     .unwrap();
     let cd_q = cd.drift(quarter).unwrap();
@@ -77,7 +77,7 @@ fn spll_and_cd_see_global_translation() {
     for div in [CdDivergence::MaxKl, CdDivergence::Area] {
         let cd = ChangeDetection::fit(
             reference,
-            &ccsynth::baselines::cd::CdOptions { divergence: div, ..Default::default() },
+            &cc_baselines::cd::CdOptions { divergence: div, ..Default::default() },
         )
         .unwrap();
         let d_last = cd.drift(last).unwrap();

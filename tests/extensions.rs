@@ -2,11 +2,11 @@
 //! synthesis, tree profiles, SQL export, imputation, model selection, and
 //! the quadratic expansion — all driven through the realistic generators.
 
+use cc_datagen::{airlines, har, AirlinesConfig, FlightKind, HarConfig};
 use ccsynth::conformance::tree::{synthesize_tree, TreeOptions};
 use ccsynth::conformance::{
     impute_all, profile_to_sql, select_model, synthesize_simple, StreamingSynthesizer,
 };
-use ccsynth::datagen::{airlines, har, AirlinesConfig, FlightKind, HarConfig};
 use ccsynth::prelude::*;
 
 const FLIGHT_ATTRS: [&str; 4] = ["arr_time", "dep_time", "elapsed_time", "distance"];

@@ -1,8 +1,8 @@
 //! Cross-crate integration: ExTuNe responsibility rankings on the Fig-12
 //! tabular datasets recover the attributes the generators actually shift.
 
+use cc_datagen::tabular::{cardio, house, mobile};
 use ccsynth::conformance::explain::mean_responsibility;
-use ccsynth::datagen::tabular::{cardio, house, mobile};
 use ccsynth::prelude::*;
 
 fn top_attributes(train: &DataFrame, serve: &DataFrame, k: usize) -> Vec<String> {

@@ -2,11 +2,11 @@
 //! conformance violation tracks classifier accuracy-drop as mobile data
 //! leaks into a sedentary serving stream.
 
-use ccsynth::datagen::{har, HarConfig, MOBILE_ACTIVITIES, SEDENTARY_ACTIVITIES};
-use ccsynth::models::accuracy;
-use ccsynth::models::logreg::{LogRegOptions, LogisticRegression};
+use cc_datagen::{har, HarConfig, MOBILE_ACTIVITIES, SEDENTARY_ACTIVITIES};
+use cc_models::accuracy;
+use cc_models::logreg::{LogRegOptions, LogisticRegression};
+use cc_stats::pcc;
 use ccsynth::prelude::*;
-use ccsynth::stats::pcc;
 
 fn split_by_activity(df: &DataFrame, wanted: &[&str]) -> DataFrame {
     let (codes, dict) = df.categorical("activity").unwrap();

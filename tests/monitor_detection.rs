@@ -4,7 +4,7 @@
 //! **zero** false alarms on a long stationary prefix and detect an
 //! injected distribution shift within 8 windows.
 
-use ccsynth::datagen::evl_dataset;
+use cc_datagen::evl_dataset;
 use ccsynth::monitor::{DetectorKind, MonitorConfig, OnlineMonitor, WindowSpec};
 use ccsynth::prelude::*;
 
