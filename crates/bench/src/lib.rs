@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment harnesses in `benches/`.
+//! Shared helpers for the paper-figure bench targets in `benches/`.
 //!
 //! Every bench target (`harness = false`) regenerates one table or figure
 //! of the paper's evaluation, printing the same rows/series the paper
@@ -6,6 +6,9 @@
 //! variable (default 1; use 0 for a smoke run, larger for closer-to-paper
 //! sizes) — the algorithms are O(n) in rows, so the *shape* of every result
 //! is scale-invariant.
+//!
+//! Serving and ingest throughput are not measured here: the repo
+//! benchmark (`bash ccbench/run.sh`) drives the real daemon for those.
 
 use cc_frame::DataFrame;
 
@@ -33,48 +36,6 @@ pub fn series_row(label: &str, series: &[f64]) -> String {
         series.iter().map(|&v| GLYPHS[((v.clamp(0.0, 1.0)) * 8.0).round() as usize]).collect();
     let nums: Vec<String> = series.iter().map(|v| format!("{v:.2}")).collect();
     format!("{label:<10} |{cells}|  [{}]", nums.join(", "))
-}
-
-/// The macro-benchmark frame shared by `bench_synth` and `bench_eval`:
-/// 8 numeric channels (one exact invariant, one per-regime invariant,
-/// mild noise elsewhere) plus a 4-value categorical regime column.
-/// Deterministic in `n`.
-pub fn macro_frame(n: usize) -> DataFrame {
-    let mut cols: Vec<Vec<f64>> = (0..8).map(|_| Vec::with_capacity(n)).collect();
-    let mut regime = Vec::with_capacity(n);
-    const REGIMES: [&str; 4] = ["north", "south", "east", "west"];
-    for i in 0..n {
-        let t = i as f64 * 0.001;
-        let noise = (((i * 2654435761) % 1000) as f64 / 500.0) - 1.0;
-        let r = i % 4;
-        let slope = 1.0 + r as f64;
-        let a = t.sin() * 40.0 + noise;
-        let b = (t * 0.37).cos() * 25.0;
-        cols[0].push(a);
-        cols[1].push(b);
-        cols[2].push(a + 2.0 * b + 1.0); // exact invariant
-        cols[3].push(slope * a - b); // per-regime invariant
-        cols[4].push(noise * 10.0);
-        cols[5].push(t % 97.0);
-        cols[6].push((a - b) * 0.5 + noise);
-        cols[7].push(3.0 * t - 2.0 * noise);
-        regime.push(REGIMES[r]);
-    }
-    let mut df = DataFrame::new();
-    for (j, col) in cols.into_iter().enumerate() {
-        df.push_numeric(format!("c{j}"), col).expect("fresh column");
-    }
-    df.push_categorical("regime", &regime).expect("fresh column");
-    df
-}
-
-/// Median of a timing sample.
-///
-/// # Panics
-/// Panics on an empty or non-finite sample.
-pub fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    xs[xs.len() / 2]
 }
 
 /// Numeric-row view over all numeric attributes.

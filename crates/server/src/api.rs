@@ -255,6 +255,26 @@ fn match_pattern<'a>(pattern: &[Seg], segs: &[&'a str]) -> Option<Vec<&'a str>> 
     Some(params)
 }
 
+/// Splits a request path into its non-empty segments.
+fn segments(path: &str) -> Vec<&str> {
+    path.split('/').filter(|s| !s.is_empty()).collect()
+}
+
+/// Resolves an `endpoint=` filter value to the label that spans and log
+/// records carry. Any route path names its endpoint in either version's
+/// spelling (`/v2/check` and `/v1/check` both mean [`Endpoint::Check`]),
+/// and a label is accepted verbatim; anything else is a `400`.
+fn endpoint_filter(value: &str) -> Result<&'static str, Response> {
+    let segs = segments(value);
+    ROUTES
+        .iter()
+        .find(|r| match_pattern(r.pattern, &segs).is_some())
+        .map(|r| r.endpoint)
+        .or_else(|| Endpoint::from_label(value))
+        .map(Endpoint::label)
+        .ok_or_else(|| Response::error(400, &format!("no endpoint named '{value}'")))
+}
+
 /// Routes one request through the table. Never panics outward on bad
 /// input — every failure maps to a 4xx/5xx response (the connection loop
 /// additionally catches panics and answers 500). `trace_id` is the
@@ -262,7 +282,7 @@ fn match_pattern<'a>(pattern: &[Seg], segs: &[&'a str]) -> Option<Vec<&'a str>> 
 /// when tracing is off); handlers that spawn deeper pipeline work
 /// (ingest) tag their spans with it.
 pub fn route(req: &Request, ctx: &RouteCtx<'_>, trace_id: u64) -> (Endpoint, Response) {
-    let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let segs = segments(&req.path);
     // Methods that DO serve this path, collected while scanning — they
     // become the 405's message and `Allow` header when no row matches
     // the request's own method.
@@ -961,7 +981,8 @@ fn fleet_push(req: &Request, ctx: &RouteCtx<'_>, index: &str) -> Response {
 /// slowest-requests table with full phase breakdown.
 ///
 /// Query parameters: `endpoint=` keeps only request-lifecycle spans for
-/// that endpoint (and scopes the slow table to it), `monitor=` keeps only
+/// that endpoint (and scopes the slow table to it; either route spelling,
+/// see [`endpoint_filter`]), `monitor=` keeps only
 /// ingest-pipeline spans for that monitor, `min_us=` drops spans shorter
 /// than the threshold, `limit=` bounds the span list (default 256), and
 /// `top=` sizes the slow-request table (default 10).
@@ -969,7 +990,10 @@ fn trace(req: &Request, trace_buffer: usize) -> Response {
     // Per-server gate AND process-global recorder: both must be on for
     // this daemon's requests to have recorded anything.
     let enabled = trace_buffer > 0 && cc_trace::enabled();
-    let endpoint = req.query_param("endpoint");
+    let endpoint = match req.query_param("endpoint").map(endpoint_filter).transpose() {
+        Ok(e) => e,
+        Err(resp) => return resp,
+    };
     let monitor = req.query_param("monitor");
     let min_us: u64 = req.query_param("min_us").and_then(|s| s.parse().ok()).unwrap_or(0);
     let limit: usize =
@@ -1089,9 +1113,10 @@ fn trace(req: &Request, trace_buffer: usize) -> Response {
 /// `GET /v2/logs`: the structured log ring, oldest-first.
 ///
 /// Query parameters: `level=` keeps records at or above a level
-/// (`debug`/`info`/`warn`/`error`), `endpoint=` matches the record's
-/// endpoint label exactly, `trace=` matches a hex trace id, `limit=`
-/// bounds the answer (default 256, newest kept).
+/// (`debug`/`info`/`warn`/`error`), `endpoint=` keeps the records of one
+/// endpoint (either route spelling, see [`endpoint_filter`]), `trace=`
+/// matches a hex trace id, `limit=` bounds the answer (default 256,
+/// newest kept).
 fn logs(req: &Request, logger: &Logger) -> Response {
     let mut filter = LogFilter::default();
     if let Some(s) = req.query_param("level") {
@@ -1106,7 +1131,10 @@ fn logs(req: &Request, logger: &Logger) -> Response {
         }
     }
     if let Some(e) = req.query_param("endpoint") {
-        filter.endpoint = Some(e.to_owned());
+        match endpoint_filter(e) {
+            Ok(label) => filter.endpoint = Some(label.to_owned()),
+            Err(resp) => return resp,
+        }
     }
     if let Some(t) = req.query_param("trace") {
         match u64::from_str_radix(t, 16) {

@@ -3,7 +3,7 @@
 //! Exists for the same reason the server's HTTP layer does: no external
 //! crates. It holds one keep-alive connection and issues sequential
 //! requests — exactly the shape of the loopback integration tests, the
-//! `bench_serve` load driver, and the `serve_loadtest` example. Not a
+//! `ccbench` load generator, and the `serve_loadtest` example. Not a
 //! general-purpose client (no redirects, no chunked decoding, no TLS).
 
 use std::io::{Read, Write};

@@ -82,7 +82,7 @@ pub fn string(s: impl Into<String>) -> Value {
 /// The inverse of [`frame_from_columns`]: renders a frame as the wire's
 /// full `{"columns": …}` request body (numeric columns as number
 /// arrays, categorical columns as label arrays). Every in-repo load
-/// driver — `bench_serve`, the `serve_loadtest` example, the loopback
+/// driver — `ccbench`, the `serve_loadtest` example, the loopback
 /// tests — builds payloads through this, so their wire format cannot
 /// drift from what the server parses.
 pub fn columns_body(df: &DataFrame) -> Value {

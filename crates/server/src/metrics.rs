@@ -95,6 +95,11 @@ impl Endpoint {
         }
     }
 
+    /// The endpoint whose [`label`](Self::label) is exactly `label`.
+    pub fn from_label(label: &str) -> Option<Endpoint> {
+        ENDPOINTS.into_iter().find(|e| e.label() == label)
+    }
+
     fn index(self) -> usize {
         ENDPOINTS.iter().position(|e| *e == self).expect("endpoint in table")
     }

@@ -174,6 +174,14 @@ fn hot_reload_under_concurrent_traffic() {
     let text = metrics.text();
     assert!(text.contains("cc_server_profile_compiles_total{profile=\"live\"} 13"), "{text}");
     assert!(text.contains("cc_server_registry_generation 13"), "{text}");
+    // Row accounting under concurrency: every row the three clients and
+    // the two final checks sent is counted exactly once.
+    let sent = (checks_done.load(Ordering::Relaxed) + 2) * serve.n_rows();
+    let counted = text
+        .lines()
+        .find_map(|l| l.strip_prefix("cc_server_rows_checked_total "))
+        .and_then(|v| v.parse::<f64>().ok());
+    assert_eq!(counted, Some(sent as f64), "rows counted vs rows sent");
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,6 +9,7 @@
 mod common;
 
 use cc_server::json::{as_f64, as_str, get as field};
+use cc_server::obs::Level;
 use cc_server::{
     HttpClient, ProfileRegistry, SelfWatchConfig, Server, ServerConfig, ServerHandle, SELF_MONITOR,
 };
@@ -47,6 +48,11 @@ fn self_report(client: &mut HttpClient) -> Value {
 
 fn is_true(v: &Value, key: &str) -> bool {
     matches!(field(v, key), Some(Value::Bool(true)))
+}
+
+/// A numeric field of the `__self` monitor's status (0 before it exists).
+fn self_status(report: &Value, key: &str) -> f64 {
+    field(report, "status").and_then(|s| field(s, key)).and_then(as_f64).unwrap_or(0.0)
 }
 
 /// The acceptance arc: steady traffic through warmup + calibration,
@@ -101,11 +107,7 @@ fn induced_degradation_raises_the_self_alarm_everywhere() {
             assert_eq!(resp.status, 400);
         }
         let report = self_report(&mut probe);
-        let alarms_total = field(&report, "status")
-            .and_then(|s| field(s, "alarms_total"))
-            .and_then(as_f64)
-            .unwrap_or(0.0);
-        if alarms_total >= 1.0 {
+        if self_status(&report, "alarms_total") >= 1.0 {
             break report;
         }
         assert!(Instant::now() < deadline, "error storm never alarmed __self: {report:?}");
@@ -256,8 +258,51 @@ fn boot_logs_are_queryable_with_filters() {
         "warn floor must hide the info boot line"
     );
 
-    // Unknown level and malformed trace ids are 400s, not surprises.
+    // A rejected check logs at warn under its endpoint, which either
+    // route spelling selects.
+    assert_eq!(client.request("POST", "/v2/check", b"{ not json").unwrap().status, 400);
+    let v = client.get("/v2/logs?endpoint=/v2/check").unwrap().json().unwrap();
+    let Some(Value::Array(logs)) = field(&v, "logs") else { panic!("logs array") };
+    assert_eq!(logs.len(), 1, "{logs:?}");
+    assert_eq!(field(&logs[0], "endpoint").and_then(as_str), Some("/v1/check"));
+
+    // Unknown level, endpoint and malformed trace ids are 400s, not
+    // surprises.
     assert_eq!(client.get("/v1/logs?level=bogus").unwrap().status, 400);
+    assert_eq!(client.get("/v2/logs?endpoint=/v2/bogus").unwrap().status, 400);
     assert_eq!(client.get("/v1/logs?trace=zzzz").unwrap().status, 400);
     handle.shutdown();
+}
+
+/// Successful requests log at `debug`, so the request path of an `info`
+/// daemon emits nothing: its `emitted` count holds still over 64
+/// `/v2/check` requests, and a daemon with logging off never emits.
+#[test]
+fn successful_checks_emit_no_log_records() {
+    let dir = common::temp_dir("selfwatch_log_cost");
+    common::write_profile(&dir, "main", &common::regime_profile(600, 0.0));
+    let body = check_body(64);
+    for level in [Level::Info, Level::Off] {
+        let registry = ProfileRegistry::from_dir(&dir).unwrap();
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 2,
+            log_level: level,
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(config, registry).unwrap();
+        let mut probe = HttpClient::connect(handle.addr()).unwrap();
+        let mut emitted = || {
+            let v = probe.get("/v2/logs").unwrap().json().unwrap();
+            field(&v, "emitted").and_then(as_f64).expect("emitted")
+        };
+        let booted = emitted();
+        assert_eq!(booted > 0.0, level == Level::Info, "{level:?}: boot lines follow the level");
+        let mut load = HttpClient::connect(handle.addr()).unwrap();
+        for _ in 0..64 {
+            assert_eq!(load.request("POST", "/v2/check", &body).unwrap().status, 200);
+        }
+        assert_eq!(emitted(), booted, "{level:?}: successful checks must not log");
+        handle.shutdown();
+    }
 }

@@ -177,6 +177,11 @@ fn trace_min_us_filter_applies() {
     let v = client.get("/v1/trace?endpoint=/v1/check&min_us=0").unwrap().json().unwrap();
     let all = field(&v, "matched").and_then(as_f64).unwrap();
     assert!(all >= 4.0, "expected at least one request's worth of spans, got {all}");
+    // The /v2 spelling names the same route; a path naming no endpoint
+    // is a 400, not an empty match.
+    let v = client.get("/v2/trace?endpoint=/v2/check&min_us=0").unwrap().json().unwrap();
+    assert_eq!(field(&v, "matched").and_then(as_f64), Some(all));
+    assert_eq!(client.get("/v2/trace?endpoint=/v2/bogus").unwrap().status, 400);
     // An hour-long floor matches nothing.
     let v = client.get("/v1/trace?endpoint=/v1/check&min_us=3600000000").unwrap().json().unwrap();
     assert_eq!(field(&v, "matched").and_then(as_f64), Some(0.0));

@@ -12,6 +12,7 @@
 
 use cc_frame::DataFrame;
 use cc_monitor::{DetectorKind, MonitorConfig, MonitorState, OnlineMonitor, WindowSpec};
+use cc_state::{MonitorEntry, ServerState};
 use conformance::{synthesize, DriftAggregator, SynthOptions};
 use proptest::prelude::*;
 
@@ -191,4 +192,93 @@ fn inconsistent_state_is_rejected_not_panicked() {
     bad.config.history_cap = 1;
     bad.history = vec![0.1, 0.2];
     assert!(OnlineMonitor::from_state(bad).is_err());
+}
+
+/// Daemon-scale durability: 256 monitors, each with a full 8-tile
+/// resynthesis ring plus a half-open window, go through one snapshot
+/// file and back. Every restored monitor's state equals the live one
+/// byte for byte, a continued ingest on every 64th monitor is
+/// bit-identical, and the snapshot + restore round trip stays within a
+/// minute even in an unoptimized build.
+#[test]
+fn snapshot_of_256_full_monitors_restores_bit_identically() {
+    const MONITORS: usize = 256;
+    const WINDOW: usize = 256;
+    // `z = x + 2y + 1` with a phase offset per monitor, so every monitor
+    // carries a calibrated profile and no two hold identical state.
+    let traffic = |n: usize, offset: usize| {
+        let (mut x, mut y, mut z) = (Vec::new(), Vec::new(), Vec::new());
+        for i in offset..offset + n {
+            let t = i as f64 * 0.001;
+            let noise = (((i * 2654435761) % 1000) as f64 / 500.0) - 1.0;
+            let (xv, yv) = (t.sin() * 40.0 + noise, (t * 0.37).cos() * 25.0);
+            x.push(xv);
+            y.push(yv);
+            z.push(xv + 2.0 * yv + 1.0);
+        }
+        let mut df = DataFrame::new();
+        df.push_numeric("x", x).unwrap();
+        df.push_numeric("y", y).unwrap();
+        df.push_numeric("z", z).unwrap();
+        df
+    };
+    let profile = synthesize(&traffic(20_000, 0), &SynthOptions::default()).unwrap();
+    let cfg = MonitorConfig {
+        spec: WindowSpec::tumbling(WINDOW).unwrap(),
+        calibration_windows: 2,
+        ..MonitorConfig::default()
+    };
+    let tiles = cfg.resynth_tiles;
+    assert_eq!(tiles, 8);
+    let rows_per_monitor = tiles * WINDOW + WINDOW / 2;
+    let live: Vec<OnlineMonitor> = (0..MONITORS)
+        .map(|k| {
+            let mut m = OnlineMonitor::new(profile.clone(), cfg.clone()).unwrap();
+            m.ingest(&traffic(rows_per_monitor, k * 37)).unwrap();
+            assert_eq!(m.status().tiles, tiles, "ring must be full");
+            assert!(m.calibrated());
+            m
+        })
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("cc_state_it_scale_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("state.json");
+    let started = std::time::Instant::now();
+    let state = ServerState {
+        registry_generation: 1,
+        rows_checked: (MONITORS * rows_per_monitor) as u64,
+        monitors: live
+            .iter()
+            .enumerate()
+            .map(|(k, m)| MonitorEntry { name: format!("m{k:03}"), state: m.state() })
+            .collect(),
+    };
+    assert!(cc_state::write_snapshot(&path, &state).unwrap() > 0);
+    let restored: ServerState = cc_state::read_snapshot(&path).unwrap();
+    let back: Vec<OnlineMonitor> = restored
+        .monitors
+        .into_iter()
+        .map(|e| OnlineMonitor::from_state(e.state).unwrap())
+        .collect();
+    let round_trip = started.elapsed();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(round_trip.as_secs() < 60, "snapshot + restore took {round_trip:?}");
+
+    assert_eq!(back.len(), MONITORS);
+    for (k, (a, b)) in live.iter().zip(&back).enumerate() {
+        assert_eq!(state_json(a), state_json(b), "monitor m{k:03} diverged on restore");
+    }
+    for (i, k) in (0..MONITORS).step_by(64).enumerate() {
+        let (mut a, mut b) = (live[k].clone(), back[k].clone());
+        let batch = traffic(WINDOW * 2, 1_000_000 + i * 191);
+        let (ra, rb) = (a.ingest(&batch).unwrap(), b.ingest(&batch).unwrap());
+        assert_eq!(ra.windows.len(), rb.windows.len());
+        for (wa, wb) in ra.windows.iter().zip(&rb.windows) {
+            assert_eq!(wa.drift.to_bits(), wb.drift.to_bits(), "m{k:03}: continued drift");
+            assert_eq!(wa.stat.to_bits(), wb.stat.to_bits(), "m{k:03}: continued stat");
+        }
+        assert_eq!(state_json(&a), state_json(&b), "m{k:03}: continued state");
+    }
 }

@@ -161,8 +161,8 @@ Trace ids propagate via the X-Ccsynth-Trace request header and are
 echoed on every traced response.
   --top <k>       slowest-request rows to show (default 10)
   --min-us <n>    only spans at least n microseconds long
-  --endpoint <e>  only server spans for one endpoint label (e.g.
-                  /v1/check, which /v2/check requests carry too)
+  --endpoint <e>  only server spans for one endpoint (e.g. /v2/check;
+                  the /v1 spelling names the same route)
   --monitor <m>   only ingest-pipeline spans for one monitor
   --limit <n>     span-list length to request (default 256)
   --json          dump the raw /v2/trace JSON instead of tables"

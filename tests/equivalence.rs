@@ -20,24 +20,28 @@ fn probes(dim: usize) -> Vec<Vec<f64>> {
     ]
 }
 
+/// Every constraint set of a profile, labelled: the global one, then
+/// each partition case as `attribute=value`.
+fn labelled_constraints(p: &ConformanceProfile) -> Vec<(String, SimpleConstraint)> {
+    let mut v: Vec<(String, SimpleConstraint)> = Vec::new();
+    if let Some(g) = &p.global {
+        v.push(("<global>".to_string(), g.clone()));
+    }
+    for d in &p.disjunctive {
+        for (val, c) in &d.cases {
+            v.push((format!("{}={}", d.attribute, val), c.clone()));
+        }
+    }
+    v
+}
+
 /// Asserts two profiles agree to ≤ `tol` on every projection coefficient,
-/// bound, and probe violation (the ISSUE's acceptance tolerance; the
-/// engine actually delivers bit-identity for same-block-structure paths).
+/// bound, and probe violation (the engine actually delivers bit-identity
+/// for same-block-structure paths; see
+/// `sharded_synthesis_is_bit_identical_at_scale`).
 fn assert_profiles_close(a: &ConformanceProfile, b: &ConformanceProfile, tol: f64) {
     assert_eq!(a.numeric_attributes, b.numeric_attributes);
-    let pairs = |x: &ConformanceProfile| {
-        let mut v: Vec<(String, SimpleConstraint)> = Vec::new();
-        if let Some(g) = &x.global {
-            v.push(("<global>".to_string(), g.clone()));
-        }
-        for d in &x.disjunctive {
-            for (val, c) in &d.cases {
-                v.push((format!("{}={}", d.attribute, val), c.clone()));
-            }
-        }
-        v
-    };
-    let (pa, pb) = (pairs(a), pairs(b));
+    let (pa, pb) = (labelled_constraints(a), labelled_constraints(b));
     assert_eq!(pa.len(), pb.len(), "constraint-set shapes differ");
     for ((ka, ca), (kb, cb)) in pa.iter().zip(&pb) {
         assert_eq!(ka, kb);
@@ -133,6 +137,66 @@ fn cardio_batch_streaming_sharded_agree() {
         for r in serve_rows.iter().take(200) {
             assert!((gb.violation(r) - gs.violation(r)).abs() <= 1e-9);
         }
+    }
+}
+
+/// The macro-benchmark shape (also what `ccbench` trains on): 8 numeric
+/// channels (one exact invariant, one per-regime invariant, mild noise
+/// elsewhere) plus a 4-value categorical regime column. Deterministic
+/// in `n`.
+fn macro_frame(n: usize) -> DataFrame {
+    const REGIMES: [&str; 4] = ["north", "south", "east", "west"];
+    let mut cols: Vec<Vec<f64>> = (0..8).map(|_| Vec::with_capacity(n)).collect();
+    let mut regime = Vec::with_capacity(n);
+    for i in 0..n {
+        let t = i as f64 * 0.001;
+        let noise = (((i * 2654435761) % 1000) as f64 / 500.0) - 1.0;
+        let r = i % 4;
+        let a = t.sin() * 40.0 + noise;
+        let b = (t * 0.37).cos() * 25.0;
+        cols[0].push(a);
+        cols[1].push(b);
+        cols[2].push(a + 2.0 * b + 1.0); // exact invariant
+        cols[3].push((1.0 + r as f64) * a - b); // per-regime invariant
+        cols[4].push(noise * 10.0);
+        cols[5].push(t % 97.0);
+        cols[6].push((a - b) * 0.5 + noise);
+        cols[7].push(3.0 * t - 2.0 * noise);
+        regime.push(REGIMES[r]);
+    }
+    let mut df = DataFrame::new();
+    for (j, col) in cols.into_iter().enumerate() {
+        df.push_numeric(format!("c{j}"), col).unwrap();
+    }
+    df.push_categorical("regime", &regime).unwrap();
+    df
+}
+
+/// Sharded synthesis is exact, not merely close: on 100k rows (many
+/// engine blocks per shard) every coefficient and bound of the 2- and
+/// 4-shard profiles equals the sequential profile's to the bit.
+#[test]
+fn sharded_synthesis_is_bit_identical_at_scale() {
+    let df = macro_frame(100_000);
+    let opts = SynthOptions::default();
+    let bits = |p: &ConformanceProfile| -> Vec<(String, Vec<u64>)> {
+        let mut out = Vec::new();
+        for (label, c) in labelled_constraints(p) {
+            for b in &c.conjuncts {
+                let mut words: Vec<u64> =
+                    b.projection.coefficients.iter().map(|w| w.to_bits()).collect();
+                words.extend([b.lb.to_bits(), b.ub.to_bits()]);
+                out.push((label.clone(), words));
+            }
+        }
+        out
+    };
+    let sequential = synthesize(&df, &opts).unwrap();
+    assert!(!sequential.disjunctive.is_empty(), "the regime column must partition");
+    let want = bits(&sequential);
+    for shards in [2usize, 4] {
+        let sharded = synthesize_parallel(&df, &opts, shards).unwrap();
+        assert_eq!(bits(&sharded), want, "{shards} shards diverged from sequential");
     }
 }
 
