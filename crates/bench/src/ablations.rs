@@ -8,8 +8,11 @@
 //! 3. **Disjunctive partitioning** on vs off: the local-drift story (4CR).
 //! 4. **Quadratic feature expansion**: nonlinear invariants (circle data)
 //!    invisible to the linear profile.
+//!
+//! Ablations 1, 3 and 4 are checked. Ablation 2 is only reported: on these
+//! streams the γ-weighted and uniform profiles read the same mean pcc.
 
-use cc_bench::{banner, scale};
+use crate::{Outcome, Size};
 use cc_datagen::{airlines, evl_dataset, AirlinesConfig, FlightKind};
 use cc_frame::DataFrame;
 use cc_stats::{min_max_normalize, pcc};
@@ -18,18 +21,17 @@ use conformance::{
     SynthOptions,
 };
 
-fn ablate_c_factor() {
-    println!("\n== Ablation 1: bound width C (μ ± C·σ; paper C = 4) ==");
-    let s = scale();
-    let train =
-        airlines(&AirlinesConfig { rows: 15_000 * s, kind: FlightKind::Daytime, seed: 900 });
-    let day = airlines(&AirlinesConfig { rows: 4_000 * s, kind: FlightKind::Daytime, seed: 901 });
-    let night =
-        airlines(&AirlinesConfig { rows: 4_000 * s, kind: FlightKind::Overnight, seed: 902 });
-    println!(
+fn ablate_c_factor(o: &mut Outcome, size: Size) {
+    o.line("\n== Ablation 1: bound width C (μ ± C·σ; paper C = 4) ==");
+    let (train_n, serve_n) = size.pick((15_000, 4_000), (5_000, 1_500));
+    let train = airlines(&AirlinesConfig { rows: train_n, kind: FlightKind::Daytime, seed: 900 });
+    let day = airlines(&AirlinesConfig { rows: serve_n, kind: FlightKind::Daytime, seed: 901 });
+    let night = airlines(&AirlinesConfig { rows: serve_n, kind: FlightKind::Overnight, seed: 902 });
+    o.line(format!(
         "{:>4} {:>22} {:>22} {:>12}",
         "C", "train violation (FP)", "daytime violation", "overnight"
-    );
+    ));
+    let mut train_fp = Vec::new();
     for c in [1.0, 2.0, 4.0, 6.0, 8.0] {
         let opts = SynthOptions {
             c_factor: c,
@@ -40,9 +42,17 @@ fn ablate_c_factor() {
         let vt = dataset_drift(&profile, &train, DriftAggregator::Mean).expect("eval");
         let vd = dataset_drift(&profile, &day, DriftAggregator::Mean).expect("eval");
         let vn = dataset_drift(&profile, &night, DriftAggregator::Mean).expect("eval");
-        println!("{c:>4} {vt:>22.4} {vd:>22.4} {vn:>12.4}");
+        o.line(format!("{c:>4} {vt:>22.4} {vd:>22.4} {vn:>12.4}"));
+        train_fp.push(vt);
     }
-    println!("(small C over-fires on clean data; large C dulls detection — C = 4 balances)");
+    o.line("(small C over-fires on clean data; large C dulls detection — C = 4 balances)");
+    o.check(
+        format!(
+            "1: C = 1 over-fires on training data, > 10 × C = 4 ({:.4} vs {:.4})",
+            train_fp[0], train_fp[2]
+        ),
+        train_fp[0] > 10.0 * train_fp[2],
+    );
 }
 
 /// Rebuilds a simple constraint with uniform weights.
@@ -51,15 +61,15 @@ fn uniform_weights(sc: &SimpleConstraint) -> SimpleConstraint {
     SimpleConstraint::new(sc.conjuncts.clone(), vec![1.0; k])
 }
 
-fn ablate_weighting() {
-    println!("\n== Ablation 2: importance weighting γ = 1/log(2+σ) vs uniform ==");
-    let s = scale();
+fn ablate_weighting(o: &mut Outcome, size: Size) {
+    o.line("\n== Ablation 2: importance weighting γ = 1/log(2+σ) vs uniform ==");
+    let points = size.pick(150, 75);
     let mut gamma_sum = 0.0;
     let mut unif_sum = 0.0;
     let streams = ["1CDT", "UG-2C-2D", "4CRE-V1", "MG-2C-2D", "2CHT"];
-    println!("{:<12} {:>12} {:>12}", "stream", "γ-weighted", "uniform");
+    o.line(format!("{:<12} {:>12} {:>12}", "stream", "γ-weighted", "uniform"));
     for name in streams {
-        let ds = evl_dataset(name, 9, 150 * s, 910).expect("stream");
+        let ds = evl_dataset(name, 9, points, 910).expect("stream");
         let profile = synthesize(&ds.windows[0], &SynthOptions::default()).expect("synthesis");
         let mut profile_u = profile.clone();
         if let Some(g) = profile_u.global.take() {
@@ -83,36 +93,49 @@ fn ablate_weighting() {
         let rho_u = pcc(&series(&profile_u), &ds.ground_truth);
         gamma_sum += rho_g;
         unif_sum += rho_u;
-        println!("{name:<12} {rho_g:>12.3} {rho_u:>12.3}");
+        o.line(format!("{name:<12} {rho_g:>12.3} {rho_u:>12.3}"));
     }
-    println!(
+    o.line(format!(
         "mean pcc: γ-weighted {:.3} vs uniform {:.3}",
         gamma_sum / streams.len() as f64,
         unif_sum / streams.len() as f64
-    );
+    ));
 }
 
-fn ablate_partitioning() {
-    println!("\n== Ablation 3: disjunctive partitioning (the 4CR local-drift case) ==");
-    let s = scale();
-    let ds = evl_dataset("4CR", 9, 150 * s, 920).expect("stream");
+fn ablate_partitioning(o: &mut Outcome, size: Size) {
+    o.line("\n== Ablation 3: disjunctive partitioning (the 4CR local-drift case) ==");
+    let ds = evl_dataset("4CR", 9, size.pick(150, 75), 920).expect("stream");
     let full = synthesize(&ds.windows[0], &SynthOptions::default()).expect("synthesis");
     let global = synthesize(
         &ds.windows[0],
         &SynthOptions { partition_attributes: Some(vec![]), ..Default::default() },
     )
     .expect("synthesis");
-    println!("{:>7} {:>14} {:>14} {:>14}", "window", "ground truth", "disjunctive", "global");
+    o.line(format!(
+        "{:>7} {:>14} {:>14} {:>14}",
+        "window", "ground truth", "disjunctive", "global"
+    ));
+    let (mut peak_full, mut peak_glob) = (0.0f64, 0.0f64);
     for (w, window) in ds.windows.iter().enumerate() {
         let d_full = dataset_drift(&full, window, DriftAggregator::Mean).expect("eval");
         let d_glob = dataset_drift(&global, window, DriftAggregator::Mean).expect("eval");
-        println!("{w:>7} {:>14.3} {d_full:>14.4} {d_glob:>14.4}", ds.ground_truth[w]);
+        o.line(format!("{w:>7} {:>14.3} {d_full:>14.4} {d_glob:>14.4}", ds.ground_truth[w]));
+        peak_full = peak_full.max(d_full);
+        peak_glob = peak_glob.max(d_glob);
     }
-    println!("(only the disjunctive profile sees the rotation)");
+    o.line("(only the disjunctive profile sees the rotation)");
+    o.check(
+        format!("3: the global profile stays at 0 on 4CR (peak {peak_glob:.4} < 0.01)"),
+        peak_glob < 0.01,
+    );
+    o.check(
+        format!("3: the disjunctive profile rises (peak {peak_full:.3} > 0.25)"),
+        peak_full > 0.25,
+    );
 }
 
-fn ablate_quadratic() {
-    println!("\n== Ablation 4: quadratic feature expansion (circle invariant) ==");
+fn ablate_quadratic(o: &mut Outcome) {
+    o.line("\n== Ablation 4: quadratic feature expansion (circle invariant) ==");
     let n = 400;
     let mut df = DataFrame::new();
     let xs: Vec<f64> =
@@ -126,21 +149,35 @@ fn ablate_quadratic() {
     let quad_df = expand_quadratic(&df).expect("expansion");
     let quad = synthesize(&quad_df, &SynthOptions::default()).expect("synthesis");
 
-    println!("{:<24} {:>10} {:>10}", "serving point", "linear", "quadratic");
+    o.line(format!("{:<24} {:>10} {:>10}", "serving point", "linear", "quadratic"));
+    let mut scores = Vec::new();
     for (label, x, y) in
         [("on circle (5, 0)", 5.0, 0.0), ("center (0, 0)", 0.0, 0.0), ("far (12, 0)", 12.0, 0.0)]
     {
         let vl = linear.violation(&[x, y], &[]).expect("eval");
         let vq = quad.violation(&expand_tuple(&[x, y]), &[]).expect("eval");
-        println!("{label:<24} {vl:>10.4} {vq:>10.4}");
+        o.line(format!("{label:<24} {vl:>10.4} {vq:>10.4}"));
+        scores.push((vl, vq));
     }
-    println!("(the linear profile cannot reject the circle's interior; the quadratic one can)");
+    o.line("(the linear profile cannot reject the circle's interior; the quadratic one can)");
+    let [_, (lin_center, quad_center), (lin_far, quad_far)] = scores[..] else {
+        unreachable!("three serving points")
+    };
+    o.check(
+        format!("4: quadratic rejects the center and the far point ({quad_center:.3}, {quad_far:.3} > 0.3)"),
+        quad_center > 0.3 && quad_far > 0.3,
+    );
+    o.check(
+        format!("4: linear rejects neither ({lin_center:.3}, {lin_far:.3} < 0.05)"),
+        lin_center < 0.05 && lin_far < 0.05,
+    );
 }
 
-fn main() {
-    banner("Ablations", "design-choice studies beyond the paper's figures");
-    ablate_c_factor();
-    ablate_weighting();
-    ablate_partitioning();
-    ablate_quadratic();
+pub fn run(size: Size) -> Outcome {
+    let mut o = Outcome::default();
+    ablate_c_factor(&mut o, size);
+    ablate_weighting(&mut o, size);
+    ablate_partitioning(&mut o, size);
+    ablate_quadratic(&mut o);
+    o
 }

@@ -7,7 +7,7 @@
 //! AT − DT − DUR ≈ 0 and DUR − 0.12·DIS ≈ 0 — a single-projection detector
 //! must under-detect violations of whichever invariant it did not capture.
 
-use cc_bench::{banner, scale};
+use crate::{Outcome, Size};
 use cc_datagen::{airlines, AirlinesConfig, FlightKind};
 use cc_frame::DataFrame;
 use cc_stats::Summary;
@@ -41,11 +41,11 @@ fn mean_violation_single(c: &BoundedConstraint, data: &[Vec<f64>]) -> f64 {
     data.iter().map(|r| c.violation(r)).sum::<f64>() / data.len() as f64
 }
 
-fn main() {
-    banner("App. L", "conformance constraints vs TLS (single lowest-σ projection)");
-    let s = scale();
-    let train =
-        airlines(&AirlinesConfig { rows: 25_000 * s, kind: FlightKind::Daytime, seed: 300 });
+/// Runs whole at either [`Size`]: it takes under two seconds in a debug build.
+pub fn run(_: Size) -> Outcome {
+    let mut o = Outcome::default();
+    let serve_n = 5_000;
+    let train = airlines(&AirlinesConfig { rows: 25_000, kind: FlightKind::Daytime, seed: 300 });
     let train_rows = rows(&train);
     let attrs: Vec<String> = ATTRS.map(String::from).to_vec();
 
@@ -62,15 +62,14 @@ fn main() {
     let tls = single_projection_constraint(&tls_proj, &train_rows);
 
     // Serving set A: break the time invariant (overnight flights).
-    let night =
-        airlines(&AirlinesConfig { rows: 5_000 * s, kind: FlightKind::Overnight, seed: 301 });
+    let night = airlines(&AirlinesConfig { rows: serve_n, kind: FlightKind::Overnight, seed: 301 });
     let night_rows = rows(&night);
 
     // Serving set B: break the speed invariant only — keep AT = DT + DUR
     // but rescale distance (e.g. data now reported in km, not miles).
     let km = {
         let mut df =
-            airlines(&AirlinesConfig { rows: 5_000 * s, kind: FlightKind::Daytime, seed: 302 });
+            airlines(&AirlinesConfig { rows: serve_n, kind: FlightKind::Daytime, seed: 302 });
         let scaled: Vec<f64> =
             df.numeric("distance").expect("col").iter().map(|d| d * 1.609).collect();
         df = df.drop_column("distance").expect("col");
@@ -80,7 +79,7 @@ fn main() {
     let km_rows = rows(&km);
 
     let day =
-        rows(&airlines(&AirlinesConfig { rows: 5_000 * s, kind: FlightKind::Daytime, seed: 303 }));
+        rows(&airlines(&AirlinesConfig { rows: serve_n, kind: FlightKind::Daytime, seed: 303 }));
 
     // Serving set C: corrupt along the SECOND-lowest-variance direction —
     // orthogonal to the TLS projection but inside the invariant subspace.
@@ -100,7 +99,8 @@ fn main() {
     let ortho_rows: Vec<Vec<f64>> =
         day.iter().map(|r| r.iter().zip(&w).map(|(x, wi)| x + 200.0 * wi).collect()).collect();
 
-    println!("{:<34} {:>12} {:>14}", "serving set", "full CC", "TLS-single");
+    o.line(format!("{:<34} {:>12} {:>14}", "serving set", "full CC", "TLS-single"));
+    let mut scores = Vec::new();
     for (label, data) in [
         ("daytime (conforming)", &day),
         ("overnight (time invariant broken)", &night_rows),
@@ -109,21 +109,21 @@ fn main() {
     ] {
         let v_cc = data.iter().map(|r| cc.violation(r)).sum::<f64>() / data.len() as f64;
         let v_tls = mean_violation_single(&tls, data);
-        println!("{label:<34} {v_cc:>12.4} {v_tls:>14.4}");
+        o.line(format!("{label:<34} {v_cc:>12.4} {v_tls:>14.4}"));
+        scores.push((v_cc, v_tls));
     }
 
-    let v_cc_ortho =
-        ortho_rows.iter().map(|r| cc.violation(r)).sum::<f64>() / ortho_rows.len() as f64;
-    let v_tls_ortho = mean_violation_single(&tls, &ortho_rows);
-    let v_cc_night =
-        night_rows.iter().map(|r| cc.violation(r)).sum::<f64>() / night_rows.len() as f64;
-    println!(
-        "\npaper shape check: CC detects every break; the single projection is \
-         blind to the orthogonal one … {}",
-        if v_cc_night > 0.1 && v_cc_ortho > 0.1 && v_tls_ortho < 0.2 * v_cc_ortho {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
+    let [_, (v_cc_night, _), _, (v_cc_ortho, v_tls_ortho)] = scores[..] else {
+        unreachable!("four serving sets")
+    };
+    o.check(format!("full CC flags overnight flights ({v_cc_night:.3} > 0.1)"), v_cc_night > 0.1);
+    o.check(
+        format!("full CC flags the orthogonal corruption ({v_cc_ortho:.3} > 0.1)"),
+        v_cc_ortho > 0.1,
     );
+    o.check(
+        format!("the single projection is blind to it ({v_tls_ortho:.3} < 0.2 × full CC)"),
+        v_tls_ortho < 0.2 * v_cc_ortho,
+    );
+    o
 }

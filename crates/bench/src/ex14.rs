@@ -8,14 +8,14 @@
 //! We verify the discovered projection lies in the span of (2) and (3), and
 //! report its decomposition coefficients (paper: 0.7·(2) + 0.56·(3)).
 
-use cc_bench::{banner, scale};
+use crate::{Outcome, Size};
 use cc_datagen::{airlines, AirlinesConfig, FlightKind};
 use conformance::{synthesize_simple, Projection, SynthOptions};
 
-fn main() {
-    banner("Ex 14", "recovering the composite airlines projection (Eq. 1–3)");
-    let s = scale();
-    let df = airlines(&AirlinesConfig { rows: 30_000 * s, kind: FlightKind::Daytime, seed: 140 });
+/// Runs whole at either [`Size`]: it takes under two seconds in a debug build.
+pub fn run(_: Size) -> Outcome {
+    let mut o = Outcome::default();
+    let df = airlines(&AirlinesConfig { rows: 30_000, kind: FlightKind::Daytime, seed: 140 });
 
     let attrs: Vec<String> =
         ["arr_time", "dep_time", "elapsed_time", "distance"].map(String::from).to_vec();
@@ -28,8 +28,8 @@ fn main() {
         .iter()
         .min_by(|a, b| a.std.partial_cmp(&b.std).expect("finite"))
         .expect("nonempty");
-    println!("lowest-σ projection (σ = {:.3}):", best.std);
-    println!("  F = {}", best.projection);
+    o.line(format!("lowest-σ projection (σ = {:.3}):", best.std));
+    o.line(format!("  F = {}", best.projection));
 
     // Decompose onto the two interpretable invariants:
     //   e2 = AT − DT − DUR, e3 = DUR − 0.12·DIS (as unit vectors).
@@ -53,17 +53,20 @@ fn main() {
         e2.coefficients.iter().zip(&e3.coefficients).map(|(x, y)| a * x + b * y).collect();
     let resid: f64 = f.iter().zip(&recon).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt();
 
-    println!("\ndecomposition onto the interpretable invariants:");
-    println!("  F ≈ {a:+.3}·(AT − DT − DUR)/√3  {b:+.3}·(DUR − 0.12·DIS)/‖·‖");
-    println!("  residual outside span{{(2),(3)}} = {resid:.4}");
-    println!("  (paper's Example 14: F = 0.7·(2) + 0.56·(3), i.e. both present)");
+    o.line("\ndecomposition onto the interpretable invariants:");
+    o.line(format!("  F ≈ {a:+.3}·(AT − DT − DUR)/√3  {b:+.3}·(DUR − 0.12·DIS)/‖·‖"));
+    o.line(format!("  residual outside span{{(2),(3)}} = {resid:.4}"));
+    o.line("  (paper's Example 14: F = 0.7·(2) + 0.56·(3), i.e. both present)");
 
-    println!(
-        "\npaper shape check: tiny σ, tiny residual, both invariants present … {}",
-        if best.std < 10.0 && resid < 0.15 && a.abs() > 0.1 && b.abs() > 0.05 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
+    o.check(format!("lowest σ = {:.3} < 10", best.std), best.std < 10.0);
+    o.check(format!("residual outside span{{(2),(3)}} = {resid:.3} < 0.15"), resid < 0.15);
+    o.check(
+        format!(
+            "both invariants present (|a| = {:.2} > 0.1, |b| = {:.2} > 0.05)",
+            a.abs(),
+            b.abs()
+        ),
+        a.abs() > 0.1 && b.abs() > 0.05,
     );
+    o
 }

@@ -5,30 +5,20 @@
 //! high-violation tuple has high error (no false positives) and only a few
 //! low-violation tuples have high error (few false negatives).
 
-use cc_bench::{banner, scale};
+use crate::{regression_io, Outcome, Size};
 use cc_datagen::{airlines, AirlinesConfig, FlightKind};
-use cc_frame::{sample_indices, DataFrame};
+use cc_frame::sample_indices;
 use cc_models::{absolute_errors, LinearRegression};
 use cc_stats::pcc;
 use conformance::{synthesize, SynthOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regression_io(df: &DataFrame) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let covariates: Vec<&str> =
-        df.numeric_names().into_iter().filter(|n| *n != "arrival_delay").collect();
-    (
-        df.numeric_rows(&covariates).expect("columns exist"),
-        df.numeric("arrival_delay").expect("target exists").to_vec(),
-    )
-}
-
-fn main() {
-    banner("Fig 5", "violation vs per-tuple absolute regression error (Mixed)");
-    let s = scale();
-    let train = airlines(&AirlinesConfig { rows: 30_000 * s, kind: FlightKind::Daytime, seed: 51 });
-    let mixed =
-        airlines(&AirlinesConfig { rows: 10_000 * s, kind: FlightKind::Mixed(30), seed: 52 });
+/// Runs whole at either [`Size`]: it takes under two seconds in a debug build.
+pub fn run(_: Size) -> Outcome {
+    let mut o = Outcome::default();
+    let train = airlines(&AirlinesConfig { rows: 30_000, kind: FlightKind::Daytime, seed: 51 });
+    let mixed = airlines(&AirlinesConfig { rows: 10_000, kind: FlightKind::Mixed(30), seed: 52 });
 
     let opts = SynthOptions { drop_attributes: vec!["arrival_delay".into()], ..Default::default() };
     let profile = synthesize(&train, &opts).expect("synthesis succeeds");
@@ -47,34 +37,32 @@ fn main() {
     // Order by decreasing violation and summarize by decile.
     let mut order: Vec<usize> = (0..violations.len()).collect();
     order.sort_by(|&a, &b| violations[b].partial_cmp(&violations[a]).expect("finite"));
-    println!("{:>7} {:>15} {:>18}", "decile", "mean violation", "mean abs error");
+    o.line(format!("{:>7} {:>15} {:>18}", "decile", "mean violation", "mean abs error"));
     for d in 0..10 {
         let lo = d * order.len() / 10;
         let hi = (d + 1) * order.len() / 10;
         let mv: f64 = order[lo..hi].iter().map(|&i| violations[i]).sum::<f64>() / (hi - lo) as f64;
         let me: f64 = order[lo..hi].iter().map(|&i| errors[i]).sum::<f64>() / (hi - lo) as f64;
-        println!("{:>7} {mv:>15.4} {me:>18.2}", d + 1);
+        o.line(format!("{:>7} {mv:>15.4} {me:>18.2}", d + 1));
     }
 
     let rho = pcc(&violations, &errors);
-    println!("\npcc(violation, abs error) = {rho:.3}");
+    o.line(format!("\npcc(violation, abs error) = {rho:.3}"));
     // Violation as a detector of high-error tuples (> 3× median error).
-    let med = cc_stats::quantile(&errors, 0.5);
-    let high: Vec<bool> = errors.iter().map(|e| *e > 3.0 * med).collect();
-    println!(
+    let high_err = 3.0 * cc_stats::quantile(&errors, 0.5);
+    let high: Vec<bool> = errors.iter().map(|e| *e > high_err).collect();
+    o.line(format!(
         "ROC-AUC(violation → high-error tuple) = {:.3}",
         cc_stats::roc_auc(&violations, &high)
-    );
+    ));
 
     // False positives/negatives at the paper's qualitative thresholds.
-    let med_err = cc_stats::quantile(&errors, 0.5);
-    let high_err = 3.0 * med_err;
     let fp = violations.iter().zip(&errors).filter(|(v, e)| **v > 0.5 && **e < high_err).count();
     let fnn = violations.iter().zip(&errors).filter(|(v, e)| **v < 0.1 && **e > high_err).count();
-    println!("high-violation tuples with LOW error (false positives): {fp}");
-    println!("low-violation tuples with HIGH error (false negatives): {fnn}");
-    println!(
-        "\npaper shape check: strong positive correlation, ≈0 false positives … {}",
-        if rho > 0.5 && fp <= 5 { "OK" } else { "MISMATCH" }
-    );
+    o.line(format!("high-violation tuples with LOW error (false positives): {fp}"));
+    o.line(format!("low-violation tuples with HIGH error (false negatives): {fnn}"));
+
+    o.check(format!("pcc(violation, abs error) = {rho:.3} > 0.5"), rho > 0.5);
+    o.check(format!("false positives {fp} ≤ 5"), fp <= 5);
+    o
 }

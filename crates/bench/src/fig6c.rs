@@ -4,8 +4,8 @@
 //! growing drift while the global W-PCA baseline stays nearly flat (it only
 //! sees "a group of people performing some activities").
 
+use crate::{person_labels, Outcome, Size};
 use cc_baselines::WPca;
-use cc_bench::{banner, scale};
 use cc_datagen::{har, HarConfig, ACTIVITIES};
 use cc_frame::DataFrame;
 use cc_stats::pcc;
@@ -15,10 +15,10 @@ use conformance::{dataset_drift, synthesize, DriftAggregator, SynthOptions};
 /// and everyone else performs their initial one.
 fn snapshot(df: &DataFrame, persons: usize, switched: usize) -> DataFrame {
     let (acodes, adict) = df.categorical("activity").expect("activity column");
-    let (pcodes, pdict) = df.categorical("person").expect("person column");
-    let idx: Vec<usize> = (0..df.n_rows())
-        .filter(|&i| {
-            let person: usize = pdict[pcodes[i] as usize][1..].parse().expect("pN");
+    let idx: Vec<usize> = person_labels(df)
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, person)| {
             if person >= persons {
                 return false;
             }
@@ -27,15 +27,15 @@ fn snapshot(df: &DataFrame, persons: usize, switched: usize) -> DataFrame {
             let wanted = if person < switched { next } else { initial };
             adict[acodes[i] as usize] == wanted
         })
+        .map(|(i, _)| i)
         .collect();
     df.take(&idx)
 }
 
-fn main() {
-    banner("Fig 6(c)", "gradual local drift: CCSynth vs weighted-PCA (W-PCA)");
-    let s = scale();
+pub fn run(size: Size) -> Outcome {
+    let mut o = Outcome::default();
     let persons = 15;
-    let repeats = 3 * s;
+    let repeats = size.pick(3, 1);
     let ks: Vec<usize> = (1..=persons).collect();
 
     let mut cc_mean = vec![0.0; ks.len()];
@@ -53,23 +53,24 @@ fn main() {
         }
     }
 
-    println!("{:>10} {:>14} {:>12}", "#persons", "CCSynth", "W-PCA");
+    o.line(format!("{:>10} {:>14} {:>12}", "#persons", "CCSynth", "W-PCA"));
     for (i, &k) in ks.iter().enumerate() {
-        println!("{k:>10} {:>14.4} {:>12.4}", cc_mean[i], wp_mean[i]);
+        o.line(format!("{k:>10} {:>14.4} {:>12.4}", cc_mean[i], wp_mean[i]));
     }
 
     let kf: Vec<f64> = ks.iter().map(|&k| k as f64).collect();
     let rho_cc = pcc(&kf, &cc_mean);
-    println!("\npcc(K, CCSynth drift) = {rho_cc:.3}");
-    println!(
-        "paper shape check: CCSynth rises steadily with K; W-PCA stays low … {}",
-        if rho_cc > 0.95
-            && cc_mean[ks.len() - 1] > 3.0 * wp_mean[ks.len() - 1].max(0.02)
-            && cc_mean[ks.len() - 1] > cc_mean[0] + 0.1
-        {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
+    o.line(format!("\npcc(K, CCSynth drift) = {rho_cc:.3}"));
+
+    let (cc_last, wp_last) = (cc_mean[ks.len() - 1], wp_mean[ks.len() - 1]);
+    o.check(format!("pcc(K, CCSynth drift) = {rho_cc:.3} > 0.95"), rho_cc > 0.95);
+    o.check(
+        format!("at K = {persons}, CCSynth > 3 × W-PCA ({cc_last:.3} vs {wp_last:.3})"),
+        cc_last > 3.0 * wp_last.max(0.02),
     );
+    o.check(
+        format!("CCSynth rises by > 0.1 from K = 1 to K = {persons}"),
+        cc_last > cc_mean[0] + 0.1,
+    );
+    o
 }

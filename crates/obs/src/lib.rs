@@ -3,7 +3,7 @@
 //! A dependency-free leveled JSON-lines logger with per-request trace-id
 //! correlation. Every event renders as one JSON object with a pinned,
 //! grep-able key set — `ts`, `level`, `trace`, `endpoint`, `msg` — so
-//! downstream parsers (`jq`, log shippers, the `/v1/logs` endpoint) never
+//! downstream parsers (`jq`, log shippers, the `/v2/logs` endpoint) never
 //! have to guess the schema:
 //!
 //! ```text
@@ -17,7 +17,7 @@
 //!   line costs ~1 ns when the logger runs at `info`.
 //! * **Ring-buffered.** The last N records are retained in memory and
 //!   queryable (level/endpoint/trace filters) via [`Logger::recent`] —
-//!   this backs the daemon's `GET /v1/logs` endpoint.
+//!   this backs the daemon's `GET /v2/logs` endpoint.
 //! * **Optionally streamed.** A sink (stderr or an append-mode file) can be
 //!   attached; sink failures are swallowed — logging never takes the
 //!   process down.
@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Default in-memory ring capacity (records retained for `/v1/logs`).
+/// Default in-memory ring capacity (records retained for `/v2/logs`).
 pub const DEFAULT_BUFFER: usize = 1024;
 
 // ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ impl Deserialize for LogRecord {
 // ---------------------------------------------------------------------------
 // Query filter.
 
-/// Selection criteria for [`Logger::recent`] (backs `GET /v1/logs`).
+/// Selection criteria for [`Logger::recent`] (backs `GET /v2/logs`).
 #[derive(Clone, Debug)]
 pub struct LogFilter {
     /// Keep records at or above this level (`None` = all).

@@ -89,7 +89,7 @@ impl Phase {
     pub const MONITOR: [Phase; 5] =
         [Phase::Score, Phase::AdmissionWait, Phase::Seal, Phase::TurnWait, Phase::Commit];
 
-    /// Stable lowercase label (used in `/v1/trace` and metric labels).
+    /// Stable lowercase label (used in `/v2/trace` and metric labels).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Parse => "parse",

@@ -20,8 +20,8 @@
 //!   proposals (CLI: `ccsynth monitor`);
 //! * [`server`] — the `cc_server` serving daemon: `std::net` HTTP/1.1,
 //!   hot-swappable profile registry, check/explain/drift endpoints,
-//!   online monitors (`/v1/ingest`, `/v1/monitor`), Prometheus metrics
-//!   (CLI: `ccsynth serve`);
+//!   online monitors (`/v2/monitors/{name}/ingest`, `/v2/monitors/{name}`),
+//!   Prometheus metrics (CLI: `ccsynth serve`);
 //! * [`state`] — crash-safe durability: versioned, checksummed,
 //!   atomically-replaced state snapshots for the daemon and the online
 //!   monitors (CLI: `serve --state-dir`, `monitor --resume`).
