@@ -82,10 +82,14 @@ use cc_monitor::{
     MonitorSet, MonitorStatus, OnlineMonitor, ShardDeltaBatch, WindowSpec, RESERVED_NAME_PREFIX,
 };
 use cc_obs::{Level, LogFilter, Logger};
-use conformance::{mean_responsibility_from_plan, DriftAggregator};
+use cc_trace::Phase;
+use conformance::{
+    mean_responsibility_from_plan, ConstraintContribution, DriftAggregator, Responsibility,
+};
 use serde::Serialize;
 use serde_json::Value;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything a handler may need, borrowed from the server's shared
 /// state. One struct instead of a parameter per subsystem: the router
@@ -339,16 +343,16 @@ fn h_reload(_req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], _t: u64) -> Respons
     reload(ctx.registry)
 }
 
-fn h_check(req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], _t: u64) -> Response {
-    with_batch(req, ctx.registry, ctx.metrics, check)
+fn h_check(req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], trace_id: u64) -> Response {
+    with_batch(req, ctx, (trace_id, Endpoint::Check), check_evaluate, check_encode)
 }
 
-fn h_explain(req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], _t: u64) -> Response {
-    with_batch(req, ctx.registry, ctx.metrics, explain)
+fn h_explain(req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], trace_id: u64) -> Response {
+    with_batch(req, ctx, (trace_id, Endpoint::Explain), explain_evaluate, explain_encode)
 }
 
-fn h_drift(req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], _t: u64) -> Response {
-    with_batch(req, ctx.registry, ctx.metrics, drift)
+fn h_drift(req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], trace_id: u64) -> Response {
+    with_batch(req, ctx, (trace_id, Endpoint::Drift), drift_evaluate, drift_encode)
 }
 
 fn h_ingest_legacy(req: &Request, ctx: &RouteCtx<'_>, _p: &[&str], trace_id: u64) -> Response {
@@ -571,7 +575,9 @@ fn ingest(req: &Request, ctx: &RouteCtx<'_>, trace_id: u64, path_name: Option<&s
         return Response::error(409, "this node is a coordinator; ingest into its shards instead");
     }
     let (registry, monitors, metrics) = (ctx.registry, ctx.monitors, ctx.metrics);
-    let (frame, body) = match batch_payload(req, metrics) {
+    let decoded =
+        timed(Phase::Decode, (trace_id, Endpoint::Ingest), || batch_payload(req, metrics));
+    let (frame, body) = match decoded {
         Ok(p) => p,
         Err(resp) => return resp,
     };
@@ -978,9 +984,12 @@ fn fleet_push(req: &Request, ctx: &RouteCtx<'_>, index: &str) -> Response {
 }
 
 /// `GET /v2/trace`: the flight recorder's recent spans plus a top-K
-/// slowest-requests table with full phase breakdown.
+/// slowest-requests table with full phase breakdown. A row's `total_us`
+/// sums the four lifecycle phases; its `decode`, `evaluate` and `encode`
+/// (zero outside the batch endpoints) are parts of its `handle`.
 ///
-/// Query parameters: `endpoint=` keeps only request-lifecycle spans for
+/// Query parameters: `endpoint=` keeps only request spans — the
+/// lifecycle phases and the batch phases inside `handle` — for
 /// that endpoint (and scopes the slow table to it; either route spelling,
 /// see [`endpoint_filter`]), `monitor=` keeps only
 /// ingest-pipeline spans for that monitor, `min_us=` drops spans shorter
@@ -1003,18 +1012,19 @@ fn trace(req: &Request, trace_buffer: usize) -> Response {
 
     let all = cc_trace::snapshot(4096);
 
-    // The slow-request table groups request-lifecycle spans by trace id;
-    // a request qualifies once its `handle` span is recorded. Phases are
-    // sequential, so their sum is the request's total in-server time.
+    // The slow-request table groups request spans by trace id; a request
+    // qualifies once its `handle` span is recorded. The lifecycle phases
+    // are sequential, so their sum is the request's total in-server
+    // time; the batch phases nest inside `handle` and stay out of it.
     struct Slow {
         endpoint: String,
         start_us: u64,
-        phases: [u64; 4],
+        phases: [u64; Phase::REQUEST.len()],
         seen_handle: bool,
     }
     let mut by_trace: Vec<(u64, Slow)> = Vec::new();
     for s in &all {
-        let Some(idx) = cc_trace::Phase::SERVER.iter().position(|&p| p == s.phase) else {
+        let Some(idx) = Phase::REQUEST.iter().position(|&p| p == s.phase) else {
             continue;
         };
         if endpoint.is_some_and(|e| e != s.tag) {
@@ -1028,7 +1038,7 @@ fn trace(req: &Request, trace_buffer: usize) -> Response {
                     Slow {
                         endpoint: String::new(),
                         start_us: s.start_us,
-                        phases: [0; 4],
+                        phases: [0; Phase::REQUEST.len()],
                         seen_handle: false,
                     },
                 ));
@@ -1037,18 +1047,19 @@ fn trace(req: &Request, trace_buffer: usize) -> Response {
         };
         slot.phases[idx] += s.dur_us;
         slot.start_us = slot.start_us.min(s.start_us);
-        if s.phase == cc_trace::Phase::Handle {
+        if s.phase == Phase::Handle {
             slot.seen_handle = true;
             slot.endpoint = s.tag.clone();
         }
     }
+    let total = |s: &Slow| s.phases[..Phase::SERVER.len()].iter().sum::<u64>();
     let mut slow: Vec<(u64, Slow)> = by_trace.into_iter().filter(|(_, s)| s.seen_handle).collect();
-    slow.sort_by_key(|(_, s)| std::cmp::Reverse(s.phases.iter().sum::<u64>()));
+    slow.sort_by_key(|(_, s)| std::cmp::Reverse(total(s)));
     slow.truncate(top);
     let slowest: Vec<Value> = slow
         .into_iter()
         .map(|(id, s)| {
-            let breakdown: Vec<(&str, Value)> = cc_trace::Phase::SERVER
+            let breakdown: Vec<(&str, Value)> = Phase::REQUEST
                 .iter()
                 .enumerate()
                 .map(|(i, p)| (p.name(), Value::Number(s.phases[i] as f64)))
@@ -1057,7 +1068,7 @@ fn trace(req: &Request, trace_buffer: usize) -> Response {
                 ("trace", string(cc_trace::id_hex(id))),
                 ("endpoint", string(&s.endpoint)),
                 ("start_us", Value::Number(s.start_us as f64)),
-                ("total_us", Value::Number(s.phases.iter().sum::<u64>() as f64)),
+                ("total_us", Value::Number(total(&s) as f64)),
                 ("phases", obj(breakdown)),
             ])
         })
@@ -1070,13 +1081,13 @@ fn trace(req: &Request, trace_buffer: usize) -> Response {
                 return false;
             }
             if let Some(e) = endpoint {
-                if !(cc_trace::Phase::SERVER.contains(&s.phase) && s.tag == e) {
+                if !(Phase::REQUEST.contains(&s.phase) && s.tag == e) {
                     return false;
                 }
             }
             if let Some(m) = monitor {
-                let monitor_phase = cc_trace::Phase::MONITOR.contains(&s.phase)
-                    || s.phase == cc_trace::Phase::WindowClose;
+                let monitor_phase =
+                    Phase::MONITOR.contains(&s.phase) || s.phase == Phase::WindowClose;
                 if !(monitor_phase && s.tag == m) {
                     return false;
                 }
@@ -1238,20 +1249,35 @@ fn batch_payload(req: &Request, metrics: &Metrics) -> Result<(DataFrame, Value),
     json::decode_batch(text).map_err(|e| Response::error(400, &e))
 }
 
-/// Shared plumbing for the three batch endpoints: decode the body (JSON
-/// or binary columnar), resolve the profile against a pinned snapshot,
-/// count the rows into the metrics, then hand off.
-fn with_batch(
+/// A request's trace id and endpoint: where a nested phase span goes,
+/// tagged as the connection core tags the request's own spans.
+type SpanTarget = (u64, Endpoint);
+
+/// Runs `f` as one `phase` span of the request `target` names.
+fn timed<R>(phase: Phase, (trace_id, endpoint): SpanTarget, f: impl FnOnce() -> R) -> R {
+    let started = Instant::now();
+    let out = f();
+    cc_trace::record(phase, trace_id, endpoint.label(), 0, started, started.elapsed());
+    out
+}
+
+/// Shared plumbing for the three batch endpoints, each step inside the
+/// request's `handle` and the middle three timed as phases: `decode` the
+/// body (JSON or binary columnar), resolve the profile against a pinned
+/// snapshot, `evaluate` the batch, `encode` the reply, then count the
+/// rows into the metrics.
+fn with_batch<T>(
     req: &Request,
-    registry: &ProfileRegistry,
-    metrics: &Metrics,
-    handler: fn(&Request, Batch) -> Response,
+    ctx: &RouteCtx<'_>,
+    target: SpanTarget,
+    evaluate: fn(&Request, &Batch) -> Result<T, Response>,
+    encode: fn(&Request, &Batch, T) -> Response,
 ) -> Response {
-    let (frame, body) = match batch_payload(req, metrics) {
+    let (frame, body) = match timed(Phase::Decode, target, || batch_payload(req, ctx.metrics)) {
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    let snap: Arc<Snapshot> = registry.snapshot();
+    let snap: Arc<Snapshot> = ctx.registry.snapshot();
     let name =
         req.query_param("profile").or_else(|| json::get(&body, "profile").and_then(json::as_str));
     let Some(entry) = snap.select(name) else {
@@ -1261,12 +1287,15 @@ fn with_batch(
         };
         return Response::error(404, &msg);
     };
-    let rows = frame.n_rows();
-    let response = handler(req, Batch { entry: entry.clone(), frame, body });
+    let batch = Batch { entry: entry.clone(), frame, body };
+    let response = match timed(Phase::Evaluate, target, || evaluate(req, &batch)) {
+        Ok(evaluated) => timed(Phase::Encode, target, || encode(req, &batch, evaluated)),
+        Err(resp) => resp,
+    };
     // Count rows only when they were actually scored — a 400 whose
     // columns never bound must not inflate the throughput counter.
     if response.status == 200 {
-        metrics.add_rows_checked(rows);
+        ctx.metrics.add_rows_checked(batch.frame.n_rows());
     }
     response
 }
@@ -1275,54 +1304,71 @@ fn with_batch(
 /// bit-identical to a direct [`conformance::CompiledProfile::violations`]
 /// call on the same frame (the shim's shortest-round-trip `f64` JSON
 /// keeps it exact over the wire).
-fn check(req: &Request, batch: Batch) -> Response {
+fn check_evaluate(req: &Request, batch: &Batch) -> Result<Vec<f64>, Response> {
     let threads = match field_usize(req, &batch.body, "threads") {
         Ok(t) => t.unwrap_or(1).clamp(1, 64),
-        Err(e) => return Response::error(400, &e),
+        Err(e) => return Err(Response::error(400, &e)),
     };
     // An empty batch conforms trivially — and carries no type information
     // for its columns, so it must not reach plan binding.
-    let violations = if batch.frame.n_rows() == 0 {
-        Vec::new()
-    } else {
-        match batch.entry.plan.violations_parallel(&batch.frame, threads) {
-            Ok(v) => v,
-            Err(e) => return Response::error(400, &e.to_string()),
-        }
-    };
+    if batch.frame.n_rows() == 0 {
+        return Ok(Vec::new());
+    }
+    batch
+        .entry
+        .plan
+        .violations_parallel(&batch.frame, threads)
+        .map_err(|e| Response::error(400, &e.to_string()))
+}
+
+fn check_encode(req: &Request, batch: &Batch, violations: Vec<f64>) -> Response {
     // Binary reply when asked for: the violations plane as a one-column
     // columnar frame — same f64 bits as the JSON array, no formatting.
     if req.accepts_columnar() {
         return Response::columnar(crate::wire::encode_violations(&violations));
     }
-    let n = violations.len();
-    let mean = violations.iter().sum::<f64>() / n.max(1) as f64;
-    let max = violations.iter().fold(0.0f64, |m, &v| m.max(v));
-    let mut fields = vec![
-        ("profile", string(&batch.entry.name)),
-        ("rows", Value::Number(n as f64)),
-        ("constraints", Value::Number(batch.entry.plan.constraint_count() as f64)),
-        ("mean", Value::Number(mean)),
-        ("max", Value::Number(max)),
-        ("violations", num_array(&violations)),
-    ];
     let threshold = req
         .query_param("threshold")
         .and_then(|t| t.parse().ok())
         .or_else(|| json::get(&batch.body, "threshold").and_then(json::as_f64));
-    if let Some(threshold) = threshold {
-        let n_unsafe = violations.iter().filter(|&&v| v > threshold).count();
-        fields.push(("unsafe", Value::Number(n_unsafe as f64)));
-    }
     let top = req
         .query_param("top")
         .and_then(|t| t.parse().ok())
         .or_else(|| json::get(&batch.body, "top").and_then(json::as_usize))
         .unwrap_or(0);
-    if top > 0 {
-        fields.push(("top", top_offenders(&violations, top)));
+    let plan = &batch.entry.plan;
+    check_reply(&batch.entry.name, plan.constraint_count(), &violations, threshold, top)
+}
+
+/// The JSON `/v2/check` reply, written straight into its body: the bytes
+/// [`Response::json`] gives for the same members as a tree, with no
+/// [`Value`] per violation (pinned by `check_reply_matches_the_tree`).
+fn check_reply(
+    profile: &str,
+    constraints: usize,
+    violations: &[f64],
+    threshold: Option<f64>,
+    top: usize,
+) -> Response {
+    let n = violations.len();
+    let mean = violations.iter().sum::<f64>() / n.max(1) as f64;
+    let max = violations.iter().fold(0.0f64, |m, &v| m.max(v));
+    // A conforming row spells as "0,"; the writer grows for longer cells.
+    let mut w = json::ObjectWriter::with_capacity(128 + 4 * n);
+    w.string("profile", profile);
+    w.number("rows", n as f64);
+    w.number("constraints", constraints as f64);
+    w.number("mean", mean);
+    w.number("max", max);
+    w.numbers("violations", violations);
+    if let Some(threshold) = threshold {
+        let n_unsafe = violations.iter().filter(|&&v| v > threshold).count();
+        w.number("unsafe", n_unsafe as f64);
     }
-    Response::json(&obj(fields))
+    if top > 0 {
+        w.value("top", &top_offenders(violations, top));
+    }
+    Response::json_text(w.finish())
 }
 
 /// The `k` worst rows as `[{row, violation}]`, worst first — the same
@@ -1341,23 +1387,45 @@ fn top_offenders(violations: &[f64], k: usize) -> Value {
     )
 }
 
+/// What `/v2/explain` computes for a non-empty batch: the per-constraint
+/// breakdown, and the ranked responsibility when training means came.
+type Explained = Option<(Vec<ConstraintContribution>, Option<Vec<Responsibility>>)>;
+
 /// `POST /v2/explain`: per-constraint mean contributions, plus ExTuNe
 /// attribute responsibility when the request supplies training means
 /// (`"means": {"attr": value, …}` — the daemon holds compiled plans, not
 /// training frames).
-fn explain(_req: &Request, batch: Batch) -> Response {
+fn explain_evaluate(_req: &Request, batch: &Batch) -> Result<Explained, Response> {
     let plan = &batch.entry.plan;
     // Empty batch: nothing to explain (and no column types to bind).
     if batch.frame.n_rows() == 0 {
+        return Ok(None);
+    }
+    let bad = |e: conformance::ProfileError| Response::error(400, &e.to_string());
+    let breakdown = conformance::breakdown_from_plan(plan, &batch.frame).map_err(bad)?;
+    let Some(means) = json::get(&batch.body, "means") else {
+        return Ok(Some((breakdown, None)));
+    };
+    let mut train_means = Vec::with_capacity(plan.attributes().len());
+    for a in plan.attributes() {
+        match json::get(means, a).and_then(json::as_f64) {
+            Some(m) => train_means.push(m),
+            None => {
+                return Err(Response::error(400, &format!("'means' is missing attribute '{a}'")))
+            }
+        }
+    }
+    let ranked = mean_responsibility_from_plan(plan, &train_means, &batch.frame).map_err(bad)?;
+    Ok(Some((breakdown, Some(ranked))))
+}
+
+fn explain_encode(_req: &Request, batch: &Batch, explained: Explained) -> Response {
+    let Some((breakdown, ranked)) = explained else {
         return Response::json(&obj(vec![
             ("profile", string(&batch.entry.name)),
             ("rows", Value::Number(0.0)),
             ("breakdown", Value::Array(Vec::new())),
         ]));
-    }
-    let breakdown = match conformance::breakdown_from_plan(plan, &batch.frame) {
-        Ok(b) => b,
-        Err(e) => return Response::error(400, &e.to_string()),
     };
     let breakdown_json = Value::Array(
         breakdown
@@ -1370,20 +1438,7 @@ fn explain(_req: &Request, batch: Batch) -> Response {
         ("rows", Value::Number(batch.frame.n_rows() as f64)),
         ("breakdown", breakdown_json),
     ];
-    if let Some(means) = json::get(&batch.body, "means") {
-        let mut train_means = Vec::with_capacity(plan.attributes().len());
-        for a in plan.attributes() {
-            match json::get(means, a).and_then(json::as_f64) {
-                Some(m) => train_means.push(m),
-                None => {
-                    return Response::error(400, &format!("'means' is missing attribute '{a}'"))
-                }
-            }
-        }
-        let ranked = match mean_responsibility_from_plan(plan, &train_means, &batch.frame) {
-            Ok(r) => r,
-            Err(e) => return Response::error(400, &e.to_string()),
-        };
+    if let Some(ranked) = ranked {
         fields.push((
             "responsibility",
             Value::Array(
@@ -1404,12 +1459,9 @@ fn explain(_req: &Request, batch: Batch) -> Response {
 
 /// `POST /v2/drift`: the CLI's three aggregators over one batch, against
 /// the cached plan (no recompilation per request).
-fn drift(_req: &Request, batch: Batch) -> Response {
+fn drift_evaluate(_req: &Request, batch: &Batch) -> Result<Vec<(&'static str, f64)>, Response> {
     let plan = &batch.entry.plan;
-    let mut fields = vec![
-        ("profile", string(&batch.entry.name)),
-        ("rows", Value::Number(batch.frame.n_rows() as f64)),
-    ];
+    let mut drifts = Vec::with_capacity(3);
     for (label, agg) in [
         ("mean", DriftAggregator::Mean),
         ("p95", DriftAggregator::Quantile(0.95)),
@@ -1418,13 +1470,110 @@ fn drift(_req: &Request, batch: Batch) -> Response {
         // Empty batch: drift 0 by the aggregators' empty-input
         // convention, without binding untyped columns.
         if batch.frame.n_rows() == 0 {
-            fields.push((label, Value::Number(0.0)));
+            drifts.push((label, 0.0));
             continue;
         }
         match agg.aggregate_compiled(plan, &batch.frame) {
-            Ok(d) => fields.push((label, Value::Number(d))),
-            Err(e) => return Response::error(400, &e.to_string()),
+            Ok(d) => drifts.push((label, d)),
+            Err(e) => return Err(Response::error(400, &e.to_string())),
         }
     }
+    Ok(drifts)
+}
+
+fn drift_encode(_req: &Request, batch: &Batch, drifts: Vec<(&'static str, f64)>) -> Response {
+    let mut fields = vec![
+        ("profile", string(&batch.entry.name)),
+        ("rows", Value::Number(batch.frame.n_rows() as f64)),
+    ];
+    fields.extend(drifts.into_iter().map(|(label, d)| (label, Value::Number(d))));
     Response::json(&obj(fields))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reply as a tree, the way the handler built it before it wrote
+    /// the body directly.
+    fn tree_reply(
+        profile: &str,
+        constraints: usize,
+        violations: &[f64],
+        threshold: Option<f64>,
+        top: usize,
+    ) -> Response {
+        let n = violations.len();
+        let mean = violations.iter().sum::<f64>() / n.max(1) as f64;
+        let max = violations.iter().fold(0.0f64, |m, &v| m.max(v));
+        let mut fields = vec![
+            ("profile", string(profile)),
+            ("rows", Value::Number(n as f64)),
+            ("constraints", Value::Number(constraints as f64)),
+            ("mean", Value::Number(mean)),
+            ("max", Value::Number(max)),
+            ("violations", num_array(violations)),
+        ];
+        if let Some(threshold) = threshold {
+            let n_unsafe = violations.iter().filter(|&&v| v > threshold).count();
+            fields.push(("unsafe", Value::Number(n_unsafe as f64)));
+        }
+        if top > 0 {
+            fields.push(("top", top_offenders(violations, top)));
+        }
+        Response::json(&obj(fields))
+    }
+
+    #[test]
+    fn check_reply_matches_the_tree() {
+        const TWO_53: f64 = 9_007_199_254_740_992.0;
+        let special = [
+            0.0,
+            -0.0,
+            1.0,
+            TWO_53 - 1.0,
+            TWO_53,
+            TWO_53 + 2.0,
+            -(TWO_53 - 1.0),
+            5e-324,
+            2.225_073_858_507_201e-308,
+            0.1,
+            1.0 / 3.0,
+            0.999_999_999_999_999_9,
+            1e16,
+            1e22,
+            123_456.0,
+        ];
+        // SplitMix64, so every vector reproduces from its seed.
+        let mut state = 0xC4EC_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for case in 0..200 {
+            let rows = (next() % 300) as usize;
+            let violations: Vec<f64> = (0..rows)
+                .map(|_| match next() % 5 {
+                    0 | 1 => 0.0,
+                    2 => special[(next() % special.len() as u64) as usize],
+                    3 => (next() >> 11) as f64 / (1u64 << 53) as f64,
+                    _ => f64::from_bits(next() >> 2),
+                })
+                .collect();
+            let threshold = (case % 3 == 0).then(|| (next() % 100) as f64 / 100.0);
+            let top = if case % 4 == 0 { (next() % 5) as usize } else { 0 };
+            let profile = ["main", "caf\u{e9} \"q\"", ""][case % 3];
+            let direct = check_reply(profile, case, &violations, threshold, top);
+            let tree = tree_reply(profile, case, &violations, threshold, top);
+            assert_eq!(
+                direct.serialize(true),
+                tree.serialize(true),
+                "case {case}: {}",
+                String::from_utf8_lossy(&direct.body)
+            );
+        }
+    }
 }

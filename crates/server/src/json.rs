@@ -24,9 +24,20 @@
 //! Both run on the shim's one [`Lexer`], so strings, escapes and numbers
 //! are read by the same code. [`Lexer::parse_f64`] reads a plain number
 //! of at most 19 digits with a decimal exponent in −27..=55 in one pass
-//! (SWAR digits, Eisel–Lemire) and hands any other run of number bytes
-//! to `str::parse::<f64>`; the shim's differential tests pin the two to
-//! the same value bits, accept/reject decisions and end offsets.
+//! (SWAR digits, then one exact multiply or divide when the mantissa is
+//! at most 2^53 and the exponent within ±22, else Eisel–Lemire) and
+//! hands any other run of number bytes to `str::parse::<f64>`; the
+//! shim's differential tests pin the two to the same value bits,
+//! accept/reject decisions and end offsets. Inside a number column the
+//! scanner hands the cells to [`Lexer::number_run`], which takes
+//! `,<number>` pairs in a tight loop while that one-pass reader takes
+//! them and leaves the first other item to the general loop.
+//!
+//! Replies go the other way. [`ObjectWriter`] writes a compact object
+//! member by member straight into its text, with the shim's own number
+//! and string writers, so the `/v2/check` reply's violations array is
+//! never a [`Value`] tree yet has the bytes the tree writer gives
+//! (`api.rs` pins the two against each other).
 
 use cc_frame::{Column, DataFrame};
 use serde_json::{Lexer, Value};
@@ -273,7 +284,13 @@ fn scan_column(lx: &mut Lexer<'_>, rows: usize) -> Option<Column> {
                 xs.push(lx.parse_f64().ok()?);
                 col = Some(Cells::Numbers(xs));
             }
-            (_, Some(Cells::Numbers(xs))) => xs.push(lx.parse_f64().ok()?),
+            (_, Some(Cells::Numbers(xs))) => {
+                xs.push(lx.parse_f64().ok()?);
+                // The plain numbers that follow, without a pass of this
+                // loop each; the loop resumes at the first item the run
+                // does not take.
+                lx.number_run(xs);
+            }
             (_, Some(Cells::Labels(_))) => return None,
         }
         if !lx.more(b']').ok()? {
@@ -292,6 +309,69 @@ fn scan_column(lx: &mut Lexer<'_>, rows: usize) -> Option<Column> {
 enum Cells<'a> {
     Numbers(Vec<f64>),
     Labels(Vec<Cow<'a, str>>),
+}
+
+/// A compact JSON object written member by member straight into its
+/// text, with no [`Value`] per member: the bytes
+/// `serde_json::to_string(&obj(pairs))` gives for the same members. The
+/// `/v2/check` reply is written with it, so its violations array never
+/// becomes a tree.
+pub struct ObjectWriter {
+    out: String,
+}
+
+impl ObjectWriter {
+    /// An empty object with room for about `bytes` bytes of text.
+    pub fn with_capacity(bytes: usize) -> Self {
+        let mut out = String::with_capacity(bytes);
+        out.push('{');
+        ObjectWriter { out }
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        serde_json::write_str(key, &mut self.out);
+        self.out.push(':');
+    }
+
+    /// A string member.
+    pub fn string(&mut self, key: &str, s: &str) {
+        self.key(key);
+        serde_json::write_str(s, &mut self.out);
+    }
+
+    /// A number member.
+    pub fn number(&mut self, key: &str, x: f64) {
+        self.key(key);
+        serde_json::write_f64(x, &mut self.out);
+    }
+
+    /// A number-array member, as [`num_array`] writes it.
+    pub fn numbers(&mut self, key: &str, xs: &[f64]) {
+        self.key(key);
+        self.out.push('[');
+        for (i, &x) in xs.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            serde_json::write_f64(x, &mut self.out);
+        }
+        self.out.push(']');
+    }
+
+    /// A member of any value.
+    pub fn value(&mut self, key: &str, v: &Value) {
+        self.key(key);
+        serde_json::write_compact(v, &mut self.out);
+    }
+
+    /// The finished object's text.
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
 }
 
 #[cfg(test)]
@@ -330,6 +410,27 @@ mod tests {
         // NaN travels as JSON null and comes back NaN.
         assert!(back.numeric("x").unwrap()[1].is_nan());
         assert_eq!(back.categorical("regime").unwrap(), df.categorical("regime").unwrap());
+    }
+
+    #[test]
+    fn object_writer_matches_the_tree_writer() {
+        let xs = [0.0, -0.0, 1.0, 0.1, 5e-324, f64::NAN, 9_007_199_254_740_993.0, -12.5];
+        let nested = obj(vec![("row", Value::Number(3.0)), ("q\"uote", string("a\nb"))]);
+        let mut w = ObjectWriter::with_capacity(0);
+        w.string("name", "caf\u{e9} \"x\"\t");
+        w.number("n", 4096.0);
+        w.numbers("empty", &[]);
+        w.numbers("xs", &xs);
+        w.value("nested", &nested);
+        let tree = obj(vec![
+            ("name", string("caf\u{e9} \"x\"\t")),
+            ("n", Value::Number(4096.0)),
+            ("empty", num_array(&[])),
+            ("xs", num_array(&xs)),
+            ("nested", nested.clone()),
+        ]);
+        assert_eq!(w.finish(), serde_json::to_string(&tree).unwrap());
+        assert_eq!(ObjectWriter::with_capacity(8).finish(), "{}");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! or not span rings are on. They render as the
 //! `cc_server_phase_seconds` and `cc_monitor_phase_seconds` histogram
 //! families; a request's in-server time is its `handle` plus `write`
-//! phases.
+//! phases. The batch endpoints split their `handle` further into
+//! `decode`, `evaluate` and `encode`, which render in the server family
+//! too and sum to at most `handle`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -315,7 +317,7 @@ impl Metrics {
             &mut out,
             "cc_server_phase_seconds",
             "Request lifecycle time by phase (flight-recorder aggregates).",
-            &cc_trace::Phase::SERVER,
+            &cc_trace::Phase::REQUEST,
         );
         render_phase_family(
             &mut out,
@@ -488,7 +490,7 @@ mod tests {
         assert!(text.contains("cc_server_build_info{version=\""), "{text}");
         assert!(text.contains("# TYPE cc_server_phase_seconds histogram"));
         assert!(text.contains("# TYPE cc_monitor_phase_seconds histogram"));
-        for phase in ["parse", "queue_wait", "handle", "write"] {
+        for phase in ["parse", "queue_wait", "handle", "write", "decode", "evaluate", "encode"] {
             assert!(
                 text.contains(&format!("cc_server_phase_seconds_count{{phase=\"{phase}\"}}")),
                 "{text}"

@@ -29,11 +29,12 @@ const LABELS: [(&str, &str); 9] = [
     (r"tab\tx", "tab\tx"),
 ];
 
-/// Number spellings: shortest round-trip output, exponent forms, the
-/// shim's lenient leading `+` and bare-dot forms, negative zero, and both
-/// sides of the number reader's fast window (decimal exponent −27..=55,
-/// at most 19 digits).
-const NUMBERS: [&str; 17] = [
+/// Number spellings: shortest round-trip output (16 and 17 digits among
+/// them), exponent forms, the shim's lenient leading `+` and bare-dot
+/// forms, negative zero, both sides of the number reader's one-pass
+/// window (decimal exponent −27..=55, at most 19 digits) and of its
+/// exact path inside it (mantissa at most 2^53, exponent within ±22).
+const NUMBERS: [&str; 28] = [
     "0",
     "-0",
     "1.5",
@@ -51,6 +52,17 @@ const NUMBERS: [&str; 17] = [
     "-9999999999999999999",
     "12345678901234567890",
     "0.000123456789012345678",
+    "0.3333333333333333",
+    "3.141592653589793",
+    "0.30000000000000004",
+    "1.0000000000000002",
+    "-2.2250738585072014e-308",
+    "9007199254740992e-5",
+    "9007199254740993e-5",
+    "1e-22",
+    "1e-23",
+    "1e22",
+    "1e23",
 ];
 
 const WHITESPACE: [&str; 5] = ["", "", " ", "\n  ", "\t\r\n"];
@@ -316,4 +328,26 @@ fn large_batches_match_reference() {
     let (frame, _) = json::scan_batch(&body).unwrap();
     assert!(frame.categorical("g").unwrap().1.len() > 100);
     check(&body).unwrap();
+}
+
+/// A number column is scanned a run at a time: plain numbers in a tight
+/// loop until one item needs the general loop. Interrupting a run at
+/// every position — whitespace on either side of a comma, a `null`, an
+/// exponent outside the one-pass window, a 20-digit number, a spelling
+/// only `str::parse` takes, a string — must leave the frame (or the 400)
+/// the reference gives.
+#[test]
+fn number_runs_interrupted_at_every_position() {
+    const RUN: [&str; 6] = ["1.5", "-0.25", "3", "9007199254740993", "2.5e-3", "0"];
+    const BREAKS: [&str; 9] =
+        [" 7", "7 ", "null", "1e300", "4e-30", "12345678901234567890", "+7", "5.", "\"a\""];
+    for at in 0..=RUN.len() {
+        for brk in BREAKS {
+            let mut items = RUN.to_vec();
+            items.insert(at, brk);
+            let column = items.join(",");
+            let body = format!("{{\"columns\": {{\"x\": [{column}], \"y\": [{column}]}}}}");
+            check(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
+        }
+    }
 }

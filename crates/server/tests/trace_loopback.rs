@@ -1,7 +1,8 @@
 //! Tracing over the real loopback path: trace-id echo on every wire
 //! combination, phase spans that reconcile against request wall time,
-//! `/v1/trace` filters, ingest-pipeline spans tagged with the monitor
-//! name, and the `--trace-buffer 0` byte-identity guarantee.
+//! `decode`/`evaluate`/`encode` spans nested inside a batch request's
+//! `handle`, `/v1/trace` filters, ingest-pipeline spans tagged with the
+//! monitor name, and the `--trace-buffer 0` byte-identity guarantee.
 
 mod common;
 
@@ -163,6 +164,24 @@ fn ingest_pipeline_spans_are_tagged_with_monitor_name() {
     handle.shutdown();
 }
 
+/// The spans of `/v2/trace`'s list whose trace id is one of `tokens`,
+/// as `(phase, dur_us)`. The span rings are process-global, so a count
+/// that is not scoped to the test's own ids also counts the requests of
+/// sibling tests' daemons.
+fn own_spans(trace: &Value, tokens: &[String]) -> Vec<(String, f64)> {
+    let Some(Value::Array(spans)) = field(trace, "spans") else { panic!("span list") };
+    spans
+        .iter()
+        .filter(|s| {
+            field(s, "trace").and_then(as_str).is_some_and(|t| tokens.iter().any(|k| k == t))
+        })
+        .map(|s| {
+            let phase = field(s, "phase").and_then(as_str).unwrap().to_owned();
+            (phase, field(s, "dur_us").and_then(as_f64).unwrap())
+        })
+        .collect()
+}
+
 /// `min_us` filtering drops sub-threshold spans.
 #[test]
 fn trace_min_us_filter_applies() {
@@ -171,22 +190,81 @@ fn trace_min_us_filter_applies() {
     let handle = start_server_traced(&dir, cc_trace::DEFAULT_BUFFER);
     let mut client = HttpClient::connect(handle.addr()).unwrap();
     let body = check_body(256);
-    for _ in 0..3 {
-        assert_eq!(client.request("POST", "/v1/check", &body).unwrap().status, 200);
+    let tokens: Vec<String> = (1..=3).map(|i| format!("f17e{i:012x}")).collect();
+    for token in &tokens {
+        let resp =
+            client.request_with("POST", "/v1/check", &body, &[("x-ccsynth-trace", token)]).unwrap();
+        assert_eq!(resp.status, 200);
     }
-    let v = client.get("/v1/trace?endpoint=/v1/check&min_us=0").unwrap().json().unwrap();
-    let all = field(&v, "matched").and_then(as_f64).unwrap();
-    assert!(all >= 4.0, "expected at least one request's worth of spans, got {all}");
+    // Every request leaves its lifecycle spans and the batch spans
+    // inside its `handle`, all tagged with the endpoint.
+    let per_request = cc_trace::Phase::REQUEST.len();
+    let v = client.get("/v1/trace?endpoint=/v1/check&min_us=0&limit=4096").unwrap().json().unwrap();
+    let all = own_spans(&v, &tokens);
+    assert_eq!(all.len(), tokens.len() * per_request, "{all:?}");
     // The /v2 spelling names the same route; a path naming no endpoint
     // is a 400, not an empty match.
-    let v = client.get("/v2/trace?endpoint=/v2/check&min_us=0").unwrap().json().unwrap();
-    assert_eq!(field(&v, "matched").and_then(as_f64), Some(all));
+    let v = client.get("/v2/trace?endpoint=/v2/check&min_us=0&limit=4096").unwrap().json().unwrap();
+    assert_eq!(own_spans(&v, &tokens), all);
     assert_eq!(client.get("/v2/trace?endpoint=/v2/bogus").unwrap().status, 400);
+    // A floor at the longest of the test's spans keeps that span and
+    // drops every shorter one.
+    let longest = all.iter().map(|(_, d)| *d).fold(0.0, f64::max);
+    let path = format!("/v1/trace?endpoint=/v1/check&min_us={longest}&limit=4096");
+    let kept = own_spans(&client.get(&path).unwrap().json().unwrap(), &tokens);
+    let want: Vec<_> = all.iter().filter(|(_, d)| *d >= longest).cloned().collect();
+    assert!(!kept.is_empty());
+    assert_eq!(kept, want);
     // An hour-long floor matches nothing.
     let v = client.get("/v1/trace?endpoint=/v1/check&min_us=3600000000").unwrap().json().unwrap();
     assert_eq!(field(&v, "matched").and_then(as_f64), Some(0.0));
     let Some(Value::Array(spans)) = field(&v, "spans") else { panic!("span list") };
     assert!(spans.is_empty());
+    handle.shutdown();
+}
+
+/// On each batch endpoint, `handle` splits into `decode`, `evaluate`
+/// and `encode` spans of the same request, which sum to at most the
+/// `handle` around them; `/metrics` counts the three phases.
+#[test]
+fn batch_phases_nest_inside_handle() {
+    let dir = common::temp_dir("trace_batch_phases");
+    common::write_profile(&dir, "main", &common::regime_profile(600, 0.0));
+    let handle = start_server_traced(&dir, cc_trace::DEFAULT_BUFFER);
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
+    let body = check_body(2048);
+    for (i, path) in ["/v2/check", "/v2/explain", "/v2/drift"].into_iter().enumerate() {
+        let token = format!("ba7c{i:012x}");
+        let resp =
+            client.request_with("POST", path, &body, &[("x-ccsynth-trace", &token)]).unwrap();
+        assert_eq!(resp.status, 200, "{path}: {}", resp.text());
+        let trace = client.get(&format!("/v2/trace?endpoint={path}&top=64&limit=4096")).unwrap();
+        let v = trace.json().unwrap();
+        let Some(Value::Array(slowest)) = field(&v, "slowest") else { panic!("slowest table") };
+        let row = slowest
+            .iter()
+            .find(|r| field(r, "trace").and_then(as_str) == Some(token.as_str()))
+            .unwrap_or_else(|| panic!("{path}: trace {token} missing from slow table"));
+        let phases = field(row, "phases").expect("phase breakdown");
+        let us = |phase: &str| {
+            field(phases, phase).and_then(as_f64).unwrap_or_else(|| panic!("{path}: no {phase}"))
+        };
+        let nested = us("decode") + us("evaluate") + us("encode");
+        assert!(nested <= us("handle"), "{path}: decode + evaluate + encode {nested} µs > handle");
+        // Each of the three was recorded for this request.
+        let mine = own_spans(&v, std::slice::from_ref(&token));
+        for phase in ["decode", "evaluate", "encode"] {
+            assert_eq!(mine.iter().filter(|(p, _)| p == phase).count(), 1, "{path}: {phase}");
+        }
+        let lifecycle = us("parse") + us("queue_wait") + us("handle") + us("write");
+        assert_eq!(field(row, "total_us").and_then(as_f64), Some(lifecycle));
+    }
+    let metrics = client.get("/metrics").unwrap();
+    let text = metrics.text();
+    for phase in ["decode", "evaluate", "encode"] {
+        let needle = format!("cc_server_phase_seconds_count{{phase=\"{phase}\"}}");
+        assert!(text.contains(&needle), "metrics exposition lacks {needle}");
+    }
     handle.shutdown();
 }
 

@@ -48,6 +48,12 @@ pub enum Phase {
     QueueWait,
     Handle,
     Write,
+    // Inside `Handle` on the batch endpoints (`/v2/check`, `/v2/explain`,
+    // `/v2/drift`; ingest records `Decode` only): the body decoded into
+    // a frame, the plan evaluated on it, the reply encoded.
+    Decode,
+    Evaluate,
+    Encode,
     // Ingest pipeline (two-phase commit inside `MonitorEntry::ingest`).
     Score,
     AdmissionWait,
@@ -66,11 +72,14 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 13] = [
+    pub const ALL: [Phase; 16] = [
         Phase::Parse,
         Phase::QueueWait,
         Phase::Handle,
         Phase::Write,
+        Phase::Decode,
+        Phase::Evaluate,
+        Phase::Encode,
         Phase::Score,
         Phase::AdmissionWait,
         Phase::Seal,
@@ -85,6 +94,22 @@ impl Phase {
     /// The four server request-lifecycle phases, in pipeline order.
     pub const SERVER: [Phase; 4] = [Phase::Parse, Phase::QueueWait, Phase::Handle, Phase::Write];
 
+    /// The three batch-endpoint phases nested inside [`Phase::Handle`],
+    /// in pipeline order. Their sum is at most the request's `Handle`.
+    pub const BATCH: [Phase; 3] = [Phase::Decode, Phase::Evaluate, Phase::Encode];
+
+    /// Every phase a request records: [`SERVER`](Self::SERVER) followed
+    /// by [`BATCH`](Self::BATCH).
+    pub const REQUEST: [Phase; 7] = [
+        Phase::Parse,
+        Phase::QueueWait,
+        Phase::Handle,
+        Phase::Write,
+        Phase::Decode,
+        Phase::Evaluate,
+        Phase::Encode,
+    ];
+
     /// The five ingest-pipeline phases, in pipeline order.
     pub const MONITOR: [Phase; 5] =
         [Phase::Score, Phase::AdmissionWait, Phase::Seal, Phase::TurnWait, Phase::Commit];
@@ -96,6 +121,9 @@ impl Phase {
             Phase::QueueWait => "queue_wait",
             Phase::Handle => "handle",
             Phase::Write => "write",
+            Phase::Decode => "decode",
+            Phase::Evaluate => "evaluate",
+            Phase::Encode => "encode",
             Phase::Score => "score",
             Phase::AdmissionWait => "admission_wait",
             Phase::Seal => "seal",
@@ -564,6 +592,18 @@ pub fn id_hex(id: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_lists_phases_in_declaration_order() {
+        // Rings store a phase as its index in `ALL`; cells index by the
+        // discriminant. The two must agree.
+        for (i, &p) in Phase::ALL.iter().enumerate() {
+            assert_eq!(p as usize, i, "{}", p.name());
+            assert_eq!(Phase::from_raw(i as u64), Some(p));
+        }
+        assert_eq!(Phase::REQUEST[..Phase::SERVER.len()], Phase::SERVER);
+        assert_eq!(Phase::REQUEST[Phase::SERVER.len()..], Phase::BATCH);
+    }
 
     #[test]
     fn ring_retains_last_capacity_spans_in_order() {

@@ -1011,9 +1011,19 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         println!("\nno completed requests in the buffer yet");
     } else {
         println!("\nslowest requests (µs):");
+        // decode, eval and encode are parts of handle (batch endpoints).
         println!(
-            "{:<18} {:<14} {:>9} {:>8} {:>10} {:>8} {:>8}",
-            "trace", "endpoint", "total", "parse", "queue", "handle", "write"
+            "{:<18} {:<14} {:>9} {:>8} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
+            "trace",
+            "endpoint",
+            "total",
+            "parse",
+            "queue",
+            "handle",
+            "write",
+            "decode",
+            "eval",
+            "encode"
         );
         for row in slowest {
             let phase = |name: &str| {
@@ -1021,7 +1031,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
                     as u64
             };
             println!(
-                "{:<18} {:<14} {:>9} {:>8} {:>10} {:>8} {:>8}",
+                "{:<18} {:<14} {:>9} {:>8} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
                 get(row, "trace").and_then(as_str).unwrap_or("-"),
                 get(row, "endpoint").and_then(as_str).unwrap_or("-"),
                 get(row, "total_us").and_then(as_f64).unwrap_or(0.0) as u64,
@@ -1029,6 +1039,9 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
                 phase("queue_wait"),
                 phase("handle"),
                 phase("write"),
+                phase("decode"),
+                phase("evaluate"),
+                phase("encode"),
             );
         }
     }
